@@ -37,7 +37,9 @@ type t = {
   mutable reset_req : bool;
   mutable gap_w : int;
   mutable gap_r : int;
-  mutable prev_calc : Bits.t option;
+  mutable prev_valid : bool;  (* [prev_*] hold last cycle's CALC_DONE *)
+  mutable prev_calc : int;  (* low 63 bits *)
+  mutable prev_top : bool;  (* bit 63 of a 64-bit vector *)
   mutable irq_flag : bool;
       (* completion-interrupt latch (§10.2): set on any CALC_DONE rising
          edge, cleared when a status-register read acknowledges it *)
@@ -63,7 +65,7 @@ type t = {
 let deassert t =
   Signal.set_next_bool t.sis.Sis_if.data_in_valid false;
   Signal.set_next_bool t.sis.Sis_if.io_enable false;
-  Signal.set_next t.sis.Sis_if.data_in (Bits.zero (Signal.width t.sis.Sis_if.data_in))
+  Signal.set_next_int t.sis.Sis_if.data_in 0
 
 let end_transaction t =
   (match t.rec_ with
@@ -189,14 +191,18 @@ let next_read_word t remaining =
     t.phase <- (if t.cfg.strictly_sync then SyncSample remaining else ReadPending remaining)
   end
 
+(* bit 63 of CALC_DONE; reading a 64-bit signal's [Bits.t] does not
+   allocate *)
+let calc_top s = Signal.width s > 63 && Bits.bit (Signal.get s) 63
+
 let track_irq t =
-  let cur = Signal.get t.sis.Sis_if.calc_done in
-  (match t.prev_calc with
-  | Some prev ->
-      let rising = Bits.logand cur (Bits.lognot prev) in
-      if not (Bits.is_zero rising) then t.irq_flag <- true
-  | None -> ());
-  t.prev_calc <- Some cur
+  let s = t.sis.Sis_if.calc_done in
+  let cur = Signal.get_raw s and top = calc_top s in
+  if t.prev_valid && (cur land lnot t.prev_calc <> 0 || (top && not t.prev_top))
+  then t.irq_flag <- true;
+  t.prev_valid <- true;
+  t.prev_calc <- cur;
+  t.prev_top <- top
 
 let seq t () =
   track_irq t;
@@ -299,7 +305,9 @@ let make ?(obs = Obs.none) cfg sis =
       reset_req = false;
       gap_w = cfg.write_word_gap;
       gap_r = cfg.read_word_gap;
-      prev_calc = None;
+      prev_valid = false;
+      prev_calc = 0;
+      prev_top = false;
       irq_flag = false;
       comp = Component.make "engine";
       obs;
@@ -331,7 +339,7 @@ let make ?(obs = Obs.none) cfg sis =
         t.reset_req <- false;
         t.gap_w <- cfg.write_word_gap;
         t.gap_r <- cfg.read_word_gap;
-        t.prev_calc <- None;
+        t.prev_valid <- false;
         t.irq_flag <- false;
         t.req_span <- Tracer.null_span)
       ("adapter:" ^ cfg.name);

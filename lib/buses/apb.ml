@@ -167,7 +167,9 @@ end
 
 let native_mirror kernel ~base_address (sis : Splice_sis.Sis_if.t) =
   let open Splice_sim in
-  let open Splice_bits in
+  (* PADDR is 32 bits wide: the low bits of the sum do not depend on the
+     base address's top bit, which the int conversion drops *)
+  let base = Int64.to_int base_address in
   let width = Signal.width sis.Splice_sis.Sis_if.data_in in
   let s name w = Signal.create ~name:("apb." ^ name) w in
   let n =
@@ -188,10 +190,9 @@ let native_mirror kernel ~base_address (sis : Splice_sis.Sis_if.t) =
     Signal.set_bool n.Native.pwrite
       (Signal.get_bool sis.Splice_sis.Sis_if.data_in_valid);
     let id = Signal.get_int sis.Splice_sis.Sis_if.func_id in
-    Signal.set n.Native.paddr
-      (Bits.create ~width:32 (Int64.add base_address (Int64.of_int (4 * id))));
-    Signal.set n.Native.pwdata (Signal.get sis.Splice_sis.Sis_if.data_in);
-    Signal.set n.Native.prdata (Signal.get sis.Splice_sis.Sis_if.data_out)
+    Signal.set_int n.Native.paddr (base + (4 * id));
+    Signal.assign ~dst:n.Native.pwdata ~src:sis.Splice_sis.Sis_if.data_in;
+    Signal.assign ~dst:n.Native.prdata ~src:sis.Splice_sis.Sis_if.data_out
   in
   Kernel.add kernel
     (Component.make

@@ -177,8 +177,6 @@ type mstate = {
 
 type bphase = B_idle | B_wait_w | B_push_w | B_wait_r | B_push_r
 
-let okay = Bits.zero 2
-
 let connect kernel (spec : Spec.t) sis =
   let { ratio; depth } = current_cdc () in
   let p_aclk, p_pclk = periods ratio in
@@ -189,20 +187,15 @@ let connect kernel (spec : Spec.t) sis =
      and the peripheral lives on PCLK *)
   Kernel.rehome_all kernel pclk;
   let width = spec.Spec.bus_width in
+  (* 32-bit addresses as ints; [set_next_int] masks [addr_of] to 32 bits *)
   let base =
-    Int64.logand
-      (match spec.Spec.base_address with Some a -> a | None -> 0L)
-      0xFFFF_FFFFL
-  in
-  let addr_of fid =
-    Bits.create ~width:32 (Int64.add base (Int64.of_int (4 * fid)))
-  in
-  let fid_of addr =
     Int64.to_int
-      (Int64.div
-         (Int64.logand (Int64.sub (Bits.to_int64 addr) base) 0xFFFF_FFFFL)
-         4L)
+      (Int64.logand
+         (match spec.Spec.base_address with Some a -> a | None -> 0L)
+         0xFFFF_FFFFL)
   in
+  let addr_of fid = base + (4 * fid) in
+  let fid_of addr = ((addr - base) land 0xFFFF_FFFF) / 4 in
   (* PCLK side: the APB engine, verbatim *)
   let engine = Adapter_engine.make ~obs:(Kernel.obs kernel) engine_config sis in
   Kernel.add_in kernel pclk (Adapter_engine.component engine);
@@ -277,7 +270,7 @@ let connect kernel (spec : Spec.t) sis =
               m.wq <- data;
               m.expect_b <- List.length data;
               Signal.set_next_bool nat.Native.awvalid true;
-              Signal.set_next nat.Native.awaddr (addr_of fid);
+              Signal.set_next_int nat.Native.awaddr (addr_of fid);
               Signal.set_next_bool nat.Native.wvalid true;
               Signal.set_next nat.Native.wdata d
           | [] -> ());
@@ -287,7 +280,7 @@ let connect kernel (spec : Spec.t) sis =
             m.expect_r <- words;
             m.collected <- [];
             Signal.set_next_bool nat.Native.arvalid true;
-            Signal.set_next nat.Native.araddr (addr_of fid)
+            Signal.set_next_int nat.Native.araddr (addr_of fid)
           end
   in
   Kernel.add_in kernel aclk
@@ -310,9 +303,14 @@ let connect kernel (spec : Spec.t) sis =
     (* write address + data (accepted together, AXI4-Lite single beat) *)
     if fire nat.Native.awvalid nat.Native.awready then begin
       Signal.set_next_bool (Async_fifo.wr_en wcmd) true;
+      (* the 32 + width bit command word is wide: one [Bits.t] per push *)
       Signal.set_next (Async_fifo.wr_data wcmd)
-        (Bits.concat (Signal.get nat.Native.awaddr)
-           (Signal.get nat.Native.wdata));
+        (Bits.create ~width:(32 + width)
+           (Int64.logor
+              (Int64.shift_left
+                 (Int64.of_int (Signal.get_int nat.Native.awaddr))
+                 width)
+              (Int64.of_int (Signal.get_int nat.Native.wdata))));
       Signal.set_next_bool nat.Native.awready false;
       Signal.set_next_bool nat.Native.wready false
     end
@@ -330,7 +328,7 @@ let connect kernel (spec : Spec.t) sis =
     (* read address *)
     if fire nat.Native.arvalid nat.Native.arready then begin
       Signal.set_next_bool (Async_fifo.wr_en rcmd) true;
-      Signal.set_next (Async_fifo.wr_data rcmd) (Signal.get nat.Native.araddr);
+      Signal.assign_next ~dst:(Async_fifo.wr_data rcmd) ~src:nat.Native.araddr;
       Signal.set_next_bool nat.Native.arready false
     end
     else begin
@@ -349,7 +347,7 @@ let connect kernel (spec : Spec.t) sis =
        && (not popping_b)
        && not (Signal.get_bool (Async_fifo.empty wrsp))
     then begin
-      Signal.set_next nat.Native.bresp (Signal.get (Async_fifo.rd_data wrsp));
+      Signal.assign_next ~dst:nat.Native.bresp ~src:(Async_fifo.rd_data wrsp);
       Signal.set_next_bool nat.Native.bvalid true;
       Signal.set_next_bool (Async_fifo.rd_en wrsp) true
     end;
@@ -362,8 +360,8 @@ let connect kernel (spec : Spec.t) sis =
        && (not popping_r)
        && not (Signal.get_bool (Async_fifo.empty rrsp))
     then begin
-      Signal.set_next nat.Native.rdata (Signal.get (Async_fifo.rd_data rrsp));
-      Signal.set_next nat.Native.rresp okay;
+      Signal.assign_next ~dst:nat.Native.rdata ~src:(Async_fifo.rd_data rrsp);
+      Signal.set_next_int nat.Native.rresp 0 (* OKAY *);
       Signal.set_next_bool nat.Native.rvalid true;
       Signal.set_next_bool (Async_fifo.rd_en rrsp) true
     end
@@ -385,8 +383,11 @@ let connect kernel (spec : Spec.t) sis =
           if (not (Signal.get_bool (Async_fifo.empty wcmd)))
              && not (Signal.get_bool (Async_fifo.rd_en wcmd))
           then begin
+            (* a 64-bit signal's [get] returns its stored value *)
             let w = Signal.get (Async_fifo.rd_data wcmd) in
-            let addr = Bits.select w ~hi:(width + 31) ~lo:width in
+            let addr =
+              Int64.to_int (Int64.shift_right_logical (Bits.to_int64 w) width)
+            in
             let data = Bits.select w ~hi:(width - 1) ~lo:0 in
             Signal.set_next_bool (Async_fifo.rd_en wcmd) true;
             eport.Bus_port.submit
@@ -396,7 +397,7 @@ let connect kernel (spec : Spec.t) sis =
           else if (not (Signal.get_bool (Async_fifo.empty rcmd)))
                   && not (Signal.get_bool (Async_fifo.rd_en rcmd))
           then begin
-            let addr = Signal.get (Async_fifo.rd_data rcmd) in
+            let addr = Signal.get_int (Async_fifo.rd_data rcmd) in
             Signal.set_next_bool (Async_fifo.rd_en rcmd) true;
             eport.Bus_port.submit
               (Bus_port.Read { func_id = fid_of addr; words = 1 });
@@ -407,7 +408,7 @@ let connect kernel (spec : Spec.t) sis =
         if (not (Signal.get_bool (Async_fifo.full wrsp)))
            && not (Signal.get_bool (Async_fifo.wr_en wrsp))
         then begin
-          Signal.set_next (Async_fifo.wr_data wrsp) okay;
+          Signal.set_next_int (Async_fifo.wr_data wrsp) 0 (* OKAY *);
           Signal.set_next_bool (Async_fifo.wr_en wrsp) true;
           bst := B_idle
         end
@@ -443,9 +444,9 @@ let connect kernel (spec : Spec.t) sis =
           Kernel.at_reset kernel (fun () ->
               Splice_cover.Bus_cover.sample_axi_cdc ax ~ratio:(reduce ratio)
                 ~depth);
+          let sample = Splice_cover.Bus_cover.sample_axi_fire ax in
           Kernel.on_settle_in kernel aclk (fun _ ->
               let fire v r = Signal.get_bool v && Signal.get_bool r in
-              let sample = Splice_cover.Bus_cover.sample_axi_fire ax in
               if fire nat.Native.awvalid nat.Native.awready then sample `Aw;
               if fire nat.Native.wvalid nat.Native.wready then sample `W;
               if fire nat.Native.arvalid nat.Native.arready then sample `Ar;

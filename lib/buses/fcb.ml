@@ -167,9 +167,9 @@ let native_mirror kernel (sis : Splice_sis.Sis_if.t) =
       (Signal.get_bool sis.Splice_sis.Sis_if.io_enable);
     Signal.set_bool n.Native.operation
       (Signal.get_bool sis.Splice_sis.Sis_if.data_in_valid);
-    Signal.set n.Native.reg (Signal.get sis.Splice_sis.Sis_if.func_id);
-    Signal.set n.Native.wr_data (Signal.get sis.Splice_sis.Sis_if.data_in);
-    Signal.set n.Native.rd_data (Signal.get sis.Splice_sis.Sis_if.data_out);
+    Signal.assign ~dst:n.Native.reg ~src:sis.Splice_sis.Sis_if.func_id;
+    Signal.assign ~dst:n.Native.wr_data ~src:sis.Splice_sis.Sis_if.data_in;
+    Signal.assign ~dst:n.Native.rd_data ~src:sis.Splice_sis.Sis_if.data_out;
     Signal.set_bool n.Native.done_
       (Signal.get_bool sis.Splice_sis.Sis_if.io_done)
   in

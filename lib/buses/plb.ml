@@ -259,18 +259,19 @@ let native_mirror kernel ~ce_slots (sis : Sis_if.t) =
     let reading = (io_en && not div) || !in_read in
     Signal.set_bool n.Native.rd_req (io_en && not div);
     Signal.set_bool n.Native.wr_req (io_en && div);
-    let hot active =
-      if active && fid < ce_slots then Bits.one_hot ~width:ce_slots fid
-      else Bits.zero ce_slots
+    let set_hot ce active =
+      if not (active && fid < ce_slots) then Signal.set_int ce 0
+      else if ce_slots <= 63 then Signal.set_int ce (1 lsl fid)
+      else Signal.set ce (Bits.one_hot ~width:ce_slots fid)
     in
-    Signal.set n.Native.rd_ce (hot reading);
-    Signal.set n.Native.wr_ce (hot writing);
-    Signal.set n.Native.be
-      (if writing || reading then Bits.ones (width / 8) else Bits.zero (width / 8));
+    set_hot n.Native.rd_ce reading;
+    set_hot n.Native.wr_ce writing;
+    (* all byte lanes enabled: -1 masks to the lane count *)
+    Signal.set_int n.Native.be (if writing || reading then -1 else 0);
     Signal.set_bool n.Native.wr_ack (done_ && not dov);
     Signal.set_bool n.Native.rd_ack dov;
-    Signal.set n.Native.data_in (Signal.get sis.Sis_if.data_in);
-    Signal.set n.Native.data_out (Signal.get sis.Sis_if.data_out)
+    Signal.assign ~dst:n.Native.data_in ~src:sis.Sis_if.data_in;
+    Signal.assign ~dst:n.Native.data_out ~src:sis.Sis_if.data_out
   in
   let seq () =
     let io_en = Signal.get_bool sis.Sis_if.io_enable in

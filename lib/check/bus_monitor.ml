@@ -27,6 +27,10 @@ type st = {
   mutable held_data : Bits.t option;
 }
 
+(* failures only: the hot path allocates no formatting closure *)
+let rule_fail ~cycle (r : rules) message =
+  Kernel.check_fail ~cycle ~check:r.check message
+
 let run_rules kernel (r : rules) (sis : Sis_if.t) =
   let st =
     {
@@ -46,14 +50,9 @@ let run_rules kernel (r : rules) (sis : Sis_if.t) =
       st.held_fid <- 0;
       st.held_data <- None);
   fun cycle ->
-    let fail fmt =
-      Format.kasprintf
-        (fun message -> Kernel.check_fail ~cycle ~check:r.check message)
-        fmt
-    in
     let io_en = Signal.get_bool sis.Sis_if.io_enable in
     if Signal.get_bool sis.Sis_if.rst then begin
-      if io_en then fail "request strobed during bus reset";
+      if io_en then rule_fail ~cycle r "request strobed during bus reset";
       st.in_write <- false;
       st.in_read <- false;
       st.prev_done <- false;
@@ -68,37 +67,37 @@ let run_rules kernel (r : rules) (sis : Sis_if.t) =
       let new_write = io_en && div in
       let new_read = io_en && not div in
       if new_write && fid = 0 then
-        fail "write presented to the read-only status register (FUNC_ID 0)";
+        rule_fail ~cycle r "write presented to the read-only status register (FUNC_ID 0)";
       (* acknowledges may only answer a request (addrAck-before-dataAck) *)
       let wr_ack = done_ && not dov and rd_ack = dov in
       (match r.wr_ack_needs_req with
-      | Some msg when wr_ack && not (st.in_write || new_write) -> fail "%s" msg
+      | Some msg when wr_ack && not (st.in_write || new_write) -> rule_fail ~cycle r msg
       | _ -> ());
       (match r.rd_ack_needs_req with
-      | Some msg when rd_ack && not (st.in_read || new_read) -> fail "%s" msg
+      | Some msg when rd_ack && not (st.in_read || new_read) -> rule_fail ~cycle r msg
       | _ -> ());
       (* single-cycle acknowledge / mandatory idle phase between accesses *)
       (match r.single_cycle_ack with
-      | Some msg when done_ && st.prev_done -> fail "%s" msg
+      | Some msg when done_ && st.prev_done -> rule_fail ~cycle r msg
       | _ -> ());
       (match r.single_cycle_access with
-      | Some msg when io_en && st.prev_access -> fail "%s" msg
+      | Some msg when io_en && st.prev_access -> rule_fail ~cycle r msg
       | _ -> ());
       (* qualifier stability while a transfer is wait-stated *)
       if st.in_write || st.in_read then begin
         (match r.stable_fid with
-        | Some msg when fid <> st.held_fid -> fail "%s" msg
+        | Some msg when fid <> st.held_fid -> rule_fail ~cycle r msg
         | _ -> ());
         match (r.stable_data, st.held_data) with
         | Some msg, Some held
-          when st.in_write && not (Bits.equal held (Signal.get sis.Sis_if.data_in))
+          when st.in_write && not (Signal.holds sis.Sis_if.data_in held)
           ->
-            fail "%s" msg
+            rule_fail ~cycle r msg
         | _ -> ()
       end;
       (* strictly synchronous transfers cannot be paused by the slave *)
       (match r.no_write_stall with
-      | Some msg when new_write && fid <> 0 && not done_ -> fail "%s" msg
+      | Some msg when new_write && fid <> 0 && not done_ -> rule_fail ~cycle r msg
       | _ -> ());
       (* outstanding-transfer bookkeeping (mirrors Figs 4.5/4.6 tracking) *)
       if new_write && not done_ then begin
@@ -263,6 +262,33 @@ type chan_st = {
   mutable fired : int;
 }
 
+let axi_check = "axi-channels"
+let axi_fail ~cycle message = Kernel.check_fail ~cycle ~check:axi_check message
+
+(* one channel's VALID/READY/payload axioms at an ACLK edge; the payload
+   is captured only while VALID waits for READY, the one state in which
+   the next edge compares it *)
+let axi_step ~cycle name st valid ready payload =
+  let v = Signal.get_bool valid and rdy = Signal.get_bool ready in
+  if st.p_valid && not st.p_ready then begin
+    if not v then
+      axi_fail ~cycle
+        (Printf.sprintf
+           "%sVALID dropped before %sREADY (VALID must hold until the \
+            handshake)"
+           name name);
+    match st.p_payload with
+    | Some a when not (Signal.holds payload a) ->
+        axi_fail ~cycle
+          (Printf.sprintf "%s payload changed while VALID was waiting for READY"
+             name)
+    | _ -> ()
+  end;
+  if v && rdy then st.fired <- st.fired + 1;
+  st.p_valid <- v;
+  st.p_ready <- rdy;
+  st.p_payload <- (if v && not rdy then Some (Signal.get payload) else None)
+
 let attach_axi_native kernel =
   match Axi.instance_for kernel with
   | None -> ()
@@ -278,52 +304,28 @@ let attach_axi_native kernel =
         st.fired <- 0
       in
       Kernel.at_reset kernel (fun () -> List.iter clear [ aw; w; ar; r_; b ]);
-      let check = "axi-channels" in
-      Kernel.add_check_in kernel inst.Axi.aclk check (fun cycle ->
-          let fail fmt =
-            Format.kasprintf
-              (fun message -> Kernel.check_fail ~cycle ~check message)
-              fmt
-          in
-          let step name st valid ready payload =
-            let v = Signal.get_bool valid and rdy = Signal.get_bool ready in
-            let pl = Option.map Signal.get payload in
-            if st.p_valid && not st.p_ready then begin
-              if not v then
-                fail "%sVALID dropped before %sREADY (VALID must hold until \
-                      the handshake)" name name;
-              match (st.p_payload, pl) with
-              | Some a, Some b when not (Bits.equal a b) ->
-                  fail "%s payload changed while VALID was waiting for READY"
-                    name
-              | _ -> ()
-            end;
-            if v && rdy then st.fired <- st.fired + 1;
-            st.p_valid <- v;
-            st.p_ready <- rdy;
-            st.p_payload <- pl
-          in
-          step "AW" aw nat.Axi.Native.awvalid nat.Axi.Native.awready
-            (Some nat.Axi.Native.awaddr);
-          step "W" w nat.Axi.Native.wvalid nat.Axi.Native.wready
-            (Some nat.Axi.Native.wdata);
-          step "AR" ar nat.Axi.Native.arvalid nat.Axi.Native.arready
-            (Some nat.Axi.Native.araddr);
-          step "R" r_ nat.Axi.Native.rvalid nat.Axi.Native.rready
-            (Some nat.Axi.Native.rdata);
-          step "B" b nat.Axi.Native.bvalid nat.Axi.Native.bready
-            (Some nat.Axi.Native.bresp);
+      Kernel.add_check_in kernel inst.Axi.aclk axi_check (fun cycle ->
+          axi_step ~cycle "AW" aw nat.Axi.Native.awvalid nat.Axi.Native.awready
+            nat.Axi.Native.awaddr;
+          axi_step ~cycle "W" w nat.Axi.Native.wvalid nat.Axi.Native.wready
+            nat.Axi.Native.wdata;
+          axi_step ~cycle "AR" ar nat.Axi.Native.arvalid nat.Axi.Native.arready
+            nat.Axi.Native.araddr;
+          axi_step ~cycle "R" r_ nat.Axi.Native.rvalid nat.Axi.Native.rready
+            nat.Axi.Native.rdata;
+          axi_step ~cycle "B" b nat.Axi.Native.bvalid nat.Axi.Native.bready
+            nat.Axi.Native.bresp;
           if Signal.get_bool nat.Axi.Native.bvalid
              && Signal.get_int nat.Axi.Native.bresp <> 0
-          then fail "BRESP is not OKAY";
+          then axi_fail ~cycle "BRESP is not OKAY";
           if Signal.get_bool nat.Axi.Native.rvalid
              && Signal.get_int nat.Axi.Native.rresp <> 0
-          then fail "RRESP is not OKAY";
+          then axi_fail ~cycle "RRESP is not OKAY";
           if b.fired > min aw.fired w.fired then
-            fail "B handshake with no outstanding write (responses outnumber \
+            axi_fail ~cycle "B handshake with no outstanding write (responses outnumber \
                   accepted AW/W transfers)";
           if r_.fired > ar.fired then
-            fail "R handshake with no outstanding read (responses outnumber \
+            axi_fail ~cycle "R handshake with no outstanding read (responses outnumber \
                   accepted AR transfers)")
 
 let attach kernel ~bus sis =

@@ -174,14 +174,14 @@ let watch kernel p signal =
             sample p (Signal.get_int signal)
           end)
   | P_trans ->
-      let prev = ref None in
-      Kernel.at_reset kernel (fun () -> prev := None);
+      (* [seen] false until the first settled value: no transition yet *)
+      let seen = ref false and prev = ref 0 in
+      Kernel.at_reset kernel (fun () -> seen := false);
       Kernel.on_settle kernel (fun _cycle ->
           let v = Signal.get_int signal in
-          (match !prev with
-          | Some last when last <> v -> sample_pair p ~from_:last ~to_:v
-          | _ -> ());
-          prev := Some v)
+          if !seen && !prev <> v then sample_pair p ~from_:!prev ~to_:v;
+          seen := true;
+          prev := v)
 
 (* ---- reading ----------------------------------------------------- *)
 

@@ -28,21 +28,41 @@ type t = {
   m_ops : Metrics.counter;
   m_polls : Metrics.counter;
   m_overhead : Metrics.counter;
+  m_op : Metrics.counter option array;
+      (* [driver/op/<kind>], indexed by [op_kind_index], registered on the
+         kind's first issue (so registry order is first-use order) and
+         forgotten at reset, when the registry is rewound past them *)
 }
 
-let op_kind = function
-  | Op.Set_address _ -> "set_address"
-  | Op.Write_single _ -> "write_single"
-  | Op.Write_double _ -> "write_double"
-  | Op.Write_quad _ -> "write_quad"
-  | Op.Write_burst _ -> "write_burst"
-  | Op.Read_single _ -> "read_single"
-  | Op.Read_double _ -> "read_double"
-  | Op.Read_quad _ -> "read_quad"
-  | Op.Read_burst _ -> "read_burst"
-  | Op.Write_dma _ -> "write_dma"
-  | Op.Read_dma _ -> "read_dma"
-  | Op.Wait_for_results _ -> "wait_for_results"
+let op_kinds =
+  [|
+    "set_address"; "write_single"; "write_double"; "write_quad"; "write_burst";
+    "read_single"; "read_double"; "read_quad"; "read_burst"; "write_dma";
+    "read_dma"; "wait_for_results";
+  |]
+
+let op_kind_index = function
+  | Op.Set_address _ -> 0
+  | Op.Write_single _ -> 1
+  | Op.Write_double _ -> 2
+  | Op.Write_quad _ -> 3
+  | Op.Write_burst _ -> 4
+  | Op.Read_single _ -> 5
+  | Op.Read_double _ -> 6
+  | Op.Read_quad _ -> 7
+  | Op.Read_burst _ -> 8
+  | Op.Write_dma _ -> 9
+  | Op.Read_dma _ -> 10
+  | Op.Wait_for_results _ -> 11
+
+let op_counter t op =
+  let i = op_kind_index op in
+  match t.m_op.(i) with
+  | Some c -> c
+  | None ->
+      let c = Metrics.counter (Obs.metrics t.obs) ("driver/op/" ^ op_kinds.(i)) in
+      t.m_op.(i) <- Some c;
+      c
 
 let next_op t =
   match t.prog with
@@ -75,8 +95,7 @@ let seq t () =
   | Issue op -> (
       if Obs.active t.obs then begin
         Metrics.incr t.m_ops;
-        Metrics.incr
-          (Metrics.counter (Obs.metrics t.obs) ("driver/op/" ^ op_kind op))
+        Metrics.incr (op_counter t op)
       end;
       match op with
       | Op.Set_address _ -> next_op t
@@ -150,6 +169,7 @@ let make ?(obs = Obs.none) ?(issue_overhead = 1) ?wait_mode port =
       m_ops = Metrics.counter m "driver/ops";
       m_polls = Metrics.counter m "driver/polls";
       m_overhead = Metrics.counter m "driver/overhead_cycles";
+      m_op = Array.make (Array.length op_kinds) None;
     }
   in
   t.comp <-
@@ -158,7 +178,8 @@ let make ?(obs = Obs.none) ?(issue_overhead = 1) ?wait_mode port =
         t.state <- Idle;
         t.prog <- [];
         t.reads <- [];
-        t.polls <- 0)
+        t.polls <- 0;
+        Array.fill t.m_op 0 (Array.length t.m_op) None)
       ("cpu:" ^ port.Bus_port.bus_name);
   t
 

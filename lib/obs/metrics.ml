@@ -74,9 +74,11 @@ let observe h v =
   if v < h.vmin then h.vmin <- v;
   if v > h.vmax then h.vmax <- v;
   let nl = Array.length h.limits in
-  let rec bucket i = if i >= nl || v <= h.limits.(i) then i else bucket (i + 1) in
-  let i = bucket 0 in
-  h.buckets.(i) <- h.buckets.(i) + 1
+  let i = ref 0 in
+  while !i < nl && v > h.limits.(!i) do
+    Stdlib.incr i
+  done;
+  h.buckets.(!i) <- h.buckets.(!i) + 1
 
 let observations h = h.n
 let total h = h.sum

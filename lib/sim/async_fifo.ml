@@ -93,15 +93,14 @@ let create ?(name = "afifo") k ~wr_dom ~rd_dom ~depth ~width =
       Signal.set_next_int t.wr_ptr wp';
       Signal.set_next_int t.wr_gray (gray_encode wp')
     end;
-    Signal.set_next t.rd_gray_s1 (Signal.get t.rd_gray);
-    Signal.set_next t.rd_gray_s2 (Signal.get t.rd_gray_s1)
+    Signal.assign_next ~dst:t.rd_gray_s1 ~src:t.rd_gray;
+    Signal.assign_next ~dst:t.rd_gray_s2 ~src:t.rd_gray_s1
   in
   let rd_comb () =
     let empty = Signal.get_int t.rd_gray = Signal.get_int t.wr_gray_s2 in
     Signal.set_bool t.empty empty;
-    Signal.set t.rd_data
-      (if empty then Bits.zero width
-       else t.mem.(Signal.get_int t.rd_ptr land idx_mask))
+    if empty then Signal.set_int t.rd_data 0
+    else Signal.set t.rd_data t.mem.(Signal.get_int t.rd_ptr land idx_mask)
   in
   let rd_seq () =
     if Signal.get_bool t.rd_en && not (Signal.get_bool t.empty) then begin
@@ -111,8 +110,8 @@ let create ?(name = "afifo") k ~wr_dom ~rd_dom ~depth ~width =
       Signal.set_next_int t.rd_ptr rp';
       Signal.set_next_int t.rd_gray (gray_encode rp')
     end;
-    Signal.set_next t.wr_gray_s1 (Signal.get t.wr_gray);
-    Signal.set_next t.wr_gray_s2 (Signal.get t.wr_gray_s1)
+    Signal.assign_next ~dst:t.wr_gray_s1 ~src:t.wr_gray;
+    Signal.assign_next ~dst:t.wr_gray_s2 ~src:t.wr_gray_s1
   in
   Kernel.add_in k wr_dom
     (Component.make

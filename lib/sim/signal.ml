@@ -7,7 +7,16 @@ type t = {
       (* domain-unique id, never reused and never reset (unlike the default
          [sigN] name counter) — the compiled tape keys its slot table on it *)
   width : int;
-  mutable value : Bits.t;
+  mask : int;
+      (* [(1 lsl width) - 1] below 63 bits, all ones from 63 bits up: every
+         int write is masked with it, exactly like [Bits.of_int] *)
+  mutable v : int;
+      (* the value as an immediate int: for width <= 63 the value's bit
+         pattern (a 63-bit value with its top bit set reads as negative);
+         for 64-bit signals the low 63 bits of [wide], kept in step *)
+  mutable wide : Bits.t;
+      (* the full value of a 64-bit signal (the slow path); a shared zero
+         for narrower signals, never read *)
   mutable listeners : (unit -> unit) list;
       (* fan-out: fired (in registration order is irrelevant — they only mark
          components dirty) whenever the value actually changes *)
@@ -30,6 +39,47 @@ type t = {
          dropping every queued write in the domain *)
 }
 
+let narrow_zero = Bits.zero 1
+
+(* array filler for the pending queue; never written through *)
+let dummy =
+  {
+    name = "";
+    uid = 0;
+    width = 1;
+    mask = 1;
+    v = 0;
+    wide = narrow_zero;
+    listeners = [];
+    commit_stamp = 0;
+    rec_stamp = 0;
+    rec_id = -1;
+    tape_stamp = 0;
+    tape_slot = -1;
+    owner = 0;
+  }
+
+(* The deferred-write queue: parallel arrays in write order (oldest at 0),
+   grown by doubling and reused across cycles, so a [set_next*] costs three
+   array stores and no allocation. [q_wide] is written only for 64-bit
+   signals. *)
+type queue = {
+  mutable q_sig : t array;
+  mutable q_int : int array;
+  mutable q_wide : Bits.t array;
+  mutable q_len : int;
+}
+
+let queue_capacity = 64
+
+let make_queue () =
+  {
+    q_sig = Array.make queue_capacity dummy;
+    q_int = Array.make queue_capacity 0;
+    q_wide = Array.make queue_capacity narrow_zero;
+    q_len = 0;
+  }
+
 (* The signal store (change counter, deferred-write queue, name counter,
    commit epoch) used to be module-global refs. Parallel grids run one
    kernel per pool task, so the store is domain-local: every task sees its
@@ -38,7 +88,10 @@ type t = {
    discipline still applies. *)
 type store = {
   mutable changes : int;
-  mutable s_pending : (t * Bits.t) list;
+  mutable pending : queue;
+  mutable spare : queue;
+      (* the queue being applied by [commit_pending] is swapped out for this
+         (empty) one first, so an apply that raises leaves nothing queued *)
   mutable counter : int;
   mutable uid_counter : int;
       (* unlike [counter] this one is never reset: uids stay unique for the
@@ -60,7 +113,8 @@ let store_key : store Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
         changes = 0;
-        s_pending = [];
+        pending = make_queue ();
+        spare = make_queue ();
         counter = 0;
         uid_counter = 0;
         commit_epoch = 0;
@@ -72,6 +126,7 @@ let store_key : store Domain.DLS.key =
 let store () = Domain.DLS.get store_key
 
 let create ?name width =
+  if width < 1 || width > Bits.max_width then raise (Bits.Invalid_width width);
   let st = store () in
   st.counter <- st.counter + 1;
   st.uid_counter <- st.uid_counter + 1;
@@ -83,7 +138,9 @@ let create ?name width =
       name;
       uid = st.uid_counter;
       width;
-      value = Bits.zero width;
+      mask = (if width >= 63 then -1 else (1 lsl width) - 1);
+      v = 0;
+      wide = (if width > 63 then Bits.zero width else narrow_zero);
       listeners = [];
       commit_stamp = 0;
       rec_stamp = 0;
@@ -98,12 +155,26 @@ let create ?name width =
   | Some acc -> st.s_created <- Some (s :: acc));
   s
 
+let is_wide t = t.width > 63
+
+(* low 63 bits of a normalized value: the value itself below 64 bits *)
+let low_bits b = Int64.to_int (Bits.to_int64 b)
+
 let name t = t.name
 let uid t = t.uid
 let width t = t.width
-let get t = t.value
-let get_bool t = Bits.to_bool t.value
-let get_int t = Bits.to_int t.value
+let get t = if is_wide t then t.wide else Bits.of_int ~width:t.width t.v
+let get_raw t = t.v
+let get_bool t = if is_wide t then Bits.to_bool t.wide else t.v <> 0
+
+let get_int t =
+  if is_wide t then Bits.to_int t.wide
+  else if t.v < 0 then failwith "Bits.to_int: does not fit"
+  else t.v
+
+let holds t b =
+  if is_wide t then Bits.equal t.wide b
+  else Bits.width b = t.width && t.v = low_bits b
 
 let on_change t f = t.listeners <- f :: t.listeners
 
@@ -128,77 +199,153 @@ let record_change r t =
     end
   in
   (* low 63 bits: only full 64-bit signals truncate, and only in the dump *)
-  Recorder.signal_change r ~subject:id ~value:(Int64.to_int (Bits.to_int64 t.value))
+  Recorder.signal_change r ~subject:id ~value:t.v
 
-let set t v =
-  if Bits.width v <> t.width then
-    raise
-      (Bits.Width_mismatch
-         (Printf.sprintf "Signal.set %s: %d vs %d" t.name (Bits.width v)
-            t.width));
-  if not (Bits.equal t.value v) then begin
-    t.value <- v;
-    let st = store () in
-    st.changes <- st.changes + 1;
-    (match st.s_recorder with None -> () | Some r -> record_change r t);
-    (match st.s_touch with None -> () | Some h -> h t);
-    match t.listeners with
-    | [] -> ()
-    | ls -> List.iter (fun f -> f ()) ls
+let rec fire = function
+  | [] -> ()
+  | f :: fs ->
+      f ();
+      fire fs
+
+(* an actual change just became visible: count it, record it, touch the
+   settling tape, then fan out *)
+let changed t =
+  let st = store () in
+  st.changes <- st.changes + 1;
+  (match st.s_recorder with None -> () | Some r -> record_change r t);
+  (match st.s_touch with None -> () | Some h -> h t);
+  fire t.listeners
+
+(* [v] already masked; narrow signals only *)
+let write_int t v =
+  if v <> t.v then begin
+    t.v <- v;
+    changed t
   end
+
+let write_wide t b =
+  if not (Bits.equal t.wide b) then begin
+    t.wide <- b;
+    t.v <- low_bits b;
+    changed t
+  end
+
+let mismatch op t w =
+  raise
+    (Bits.Width_mismatch
+       (Printf.sprintf "Signal.%s %s: %d vs %d" op t.name w t.width))
+
+let set t b =
+  if Bits.width b <> t.width then mismatch "set" t (Bits.width b);
+  if is_wide t then write_wide t b else write_int t (low_bits b)
 
 let set_bool t b =
   if t.width <> 1 then
     raise (Bits.Width_mismatch (Printf.sprintf "Signal.set_bool %s" t.name));
-  set t (Bits.of_bool b)
+  write_int t (Bool.to_int b)
 
-let set_int t v = set t (Bits.of_int ~width:t.width v)
+let set_int t v =
+  if is_wide t then write_wide t (Bits.of_int ~width:t.width v)
+  else write_int t (v land t.mask)
 
-let set_next t v =
-  if Bits.width v <> t.width then
-    raise
-      (Bits.Width_mismatch
-         (Printf.sprintf "Signal.set_next %s: %d vs %d" t.name (Bits.width v)
-            t.width));
-  let st = store () in
-  st.s_pending <- (t, v) :: st.s_pending
+let assign ~dst ~src =
+  if src.width <> dst.width then mismatch "assign" dst src.width;
+  if is_wide dst then write_wide dst src.wide else write_int dst src.v
 
-let set_next_bool t b = set_next t (Bits.of_bool b)
-let set_next_int t v = set_next t (Bits.of_int ~width:t.width v)
+let grow q =
+  let cap = 2 * Array.length q.q_sig in
+  let extend a fill =
+    let a' = Array.make cap fill in
+    Array.blit a 0 a' 0 q.q_len;
+    a'
+  in
+  q.q_sig <- extend q.q_sig dummy;
+  q.q_int <- extend q.q_int 0;
+  q.q_wide <- extend q.q_wide narrow_zero
+
+(* queue slot for the next write, growing the queue when full *)
+let slot q =
+  let i = q.q_len in
+  if i = Array.length q.q_sig then grow q;
+  q.q_len <- i + 1;
+  i
+
+let push_int t v =
+  let q = (store ()).pending in
+  let i = slot q in
+  Array.unsafe_set q.q_sig i t;
+  Array.unsafe_set q.q_int i v
+
+let push_wide t b =
+  let q = (store ()).pending in
+  let i = slot q in
+  Array.unsafe_set q.q_sig i t;
+  Array.unsafe_set q.q_wide i b
+
+let set_next t b =
+  if Bits.width b <> t.width then mismatch "set_next" t (Bits.width b);
+  if is_wide t then push_wide t b else push_int t (low_bits b)
+
+let set_next_bool t b =
+  if t.width <> 1 then mismatch "set_next" t 1;
+  push_int t (Bool.to_int b)
+
+let set_next_int t v =
+  if is_wide t then push_wide t (Bits.of_int ~width:t.width v)
+  else push_int t (v land t.mask)
+
+let assign_next ~dst ~src =
+  if src.width <> dst.width then mismatch "assign_next" dst src.width;
+  if is_wide dst then push_wide dst src.wide else push_int dst src.v
+
 let change_count () = (store ()).changes
 
 let commit_pending () =
-  (* Last write wins: the list is newest-first, so the first write stamped
-     with the current epoch shadows any older queued writes to the same
-     signal — a single O(n) scan, no membership lists.
+  (* Last write wins: the queue is applied newest-first, so the first write
+     stamped with the current epoch shadows any older queued writes to the
+     same signal — a single O(n) scan, no membership lists.
 
-     The queue is detached {e before} the scan: if an apply raises (a
-     [Width_mismatch] from [set], or a listener failing), the queue is
-     already empty and the next cycle cannot silently replay the stale
-     writes. Epoch stamps need no restoring — the next commit bumps the
-     epoch, so half-applied stamps are never mistaken for current ones. *)
+     The queue is detached {e before} the scan (swapped for the empty spare):
+     if an apply raises (a listener failing), the queue is already empty and
+     the next cycle cannot silently replay the stale writes. Epoch stamps
+     need no restoring — the next commit bumps the epoch, so half-applied
+     stamps are never mistaken for current ones. *)
   let st = store () in
-  match st.s_pending with
-  | [] -> ()
-  | writes ->
-      st.s_pending <- [];
-      st.commit_epoch <- st.commit_epoch + 1;
-      let epoch = st.commit_epoch in
-      List.iter
-        (fun (s, v) ->
-          if s.commit_stamp <> epoch then begin
-            s.commit_stamp <- epoch;
-            set s v
-          end)
-        writes
+  let q = st.pending in
+  let n = q.q_len in
+  if n > 0 then begin
+    q.q_len <- 0;
+    st.pending <- st.spare;
+    st.spare <- q;
+    st.commit_epoch <- st.commit_epoch + 1;
+    let epoch = st.commit_epoch in
+    for i = n - 1 downto 0 do
+      let s = Array.unsafe_get q.q_sig i in
+      if s.commit_stamp <> epoch then begin
+        s.commit_stamp <- epoch;
+        if is_wide s then write_wide s (Array.unsafe_get q.q_wide i)
+        else write_int s (Array.unsafe_get q.q_int i)
+      end
+    done
+  end
 
-let clear_pending () = (store ()).s_pending <- []
+let clear_pending () = (store ()).pending.q_len <- 0
 
 let clear_pending_for ~owner =
-  let st = store () in
-  match st.s_pending with
-  | [] -> ()
-  | writes -> st.s_pending <- List.filter (fun (s, _) -> s.owner <> owner) writes
+  (* in-place compaction: the kept writes stay in their relative order *)
+  let q = (store ()).pending in
+  let kept = ref 0 in
+  for i = 0 to q.q_len - 1 do
+    let s = q.q_sig.(i) in
+    if s.owner <> owner then begin
+      let j = !kept in
+      q.q_sig.(j) <- s;
+      q.q_int.(j) <- q.q_int.(i);
+      q.q_wide.(j) <- q.q_wide.(i);
+      kept := j + 1
+    end
+  done;
+  q.q_len <- !kept
 
 let reset_names () = (store ()).counter <- 0
 
@@ -224,13 +371,10 @@ let record_created f =
       st.s_created <- saved;
       raise e
 
-let restore_value t v =
+let restore_value t b =
   (* cache-replay restore: bring the signal back to a snapshotted value
      without firing listeners, the recorder, or the change counter — the
      kernel is reset around this, so nothing is watching *)
-  if Bits.width v <> t.width then
-    raise
-      (Bits.Width_mismatch
-         (Printf.sprintf "Signal.restore_value %s: %d vs %d" t.name
-            (Bits.width v) t.width));
-  t.value <- v
+  if Bits.width b <> t.width then mismatch "restore_value" t (Bits.width b);
+  if is_wide t then t.wide <- b;
+  t.v <- low_bits b

@@ -12,14 +12,24 @@
     domain run one {!Kernel} at a time, as before, while pool workers
     (see [Splice_par.Pool]) each get an independent store — concurrent
     kernels in different domains never share signal state. Never pass a
-    signal created in one domain to a kernel cycling in another. *)
+    signal created in one domain to a kernel cycling in another.
+
+    {1 Storage}
+
+    A signal of width ≤ 63 holds its value as an immediate [int] (the
+    value's bit pattern) and masks every write with a precomputed width
+    mask, so the [bool]/[int] accessors, {!assign} and the deferred-write
+    queue never allocate. 64-bit signals keep a [Bits.t] on a separate slow
+    path. {!get} builds a [Bits.t] for narrow signals: it is for cold
+    callers (waveforms, snapshots, the planner), not per-cycle models. *)
 
 open Splice_bits
 
 type t
 
 val create : ?name:string -> int -> t
-(** [create ~name width] with initial value zero. *)
+(** [create ~name width] with initial value zero. Raises
+    [Bits.Invalid_width] unless [1 <= width <= 64]. *)
 
 val name : t -> string
 
@@ -31,10 +41,24 @@ val uid : t -> int
 val width : t -> int
 
 val get : t -> Bits.t
+(** Allocates for signals narrower than 64 bits; per-cycle code should use
+    {!get_bool}, {!get_int} or {!assign}. *)
+
 val get_bool : t -> bool
 (** True iff non-zero (any width). *)
 
 val get_int : t -> int
+(** Raises [Failure] exactly as [Bits.to_int] does when the value does not
+    fit a non-negative [int] (a 63- or 64-bit value with its top bit set). *)
+
+val get_raw : t -> int
+(** The stored low 63 bits as an immediate [int], never raising: for widths
+    ≤ 63 an injective image of the value (negative when bit 62 of a 63-bit
+    value is set); for 64-bit signals the top bit is dropped. This is the
+    flight recorder's value and the compiled tape's snapshot key. *)
+
+val holds : t -> Bits.t -> bool
+(** [holds s b] is [Bits.equal (get s) b] without building a [Bits.t]. *)
 
 val set : t -> Bits.t -> unit
 (** Immediate combinational drive. Raises [Bits.Width_mismatch] when widths
@@ -44,13 +68,25 @@ val set_bool : t -> bool -> unit
 (** For 1-bit signals. *)
 
 val set_int : t -> int -> unit
-(** Masked to the signal width. *)
+(** Masked to the signal width, like [Bits.of_int]. *)
+
+val assign : dst:t -> src:t -> unit
+(** Wire copy: [assign ~dst ~src] is [set dst (get src)] without building a
+    [Bits.t]. Raises [Bits.Width_mismatch] when widths differ. *)
 
 val set_next : t -> Bits.t -> unit
-(** Deferred registered drive; last write to a signal in a cycle wins. *)
+(** Deferred registered drive; last write to a signal in a cycle wins.
+    Raises [Bits.Width_mismatch] when widths differ. *)
 
 val set_next_bool : t -> bool -> unit
+(** For 1-bit signals. *)
+
 val set_next_int : t -> int -> unit
+(** Masked to the signal width, like {!set_int}. *)
+
+val assign_next : dst:t -> src:t -> unit
+(** Registered wire copy: [set_next dst (get src)] without building a
+    [Bits.t]. Raises [Bits.Width_mismatch] when widths differ. *)
 
 val change_count : unit -> int
 (** Domain-local counter incremented whenever any signal actually changes
@@ -90,17 +126,19 @@ val cache_tape_slot : t -> stamp:int -> slot:int -> unit
     reads this signal". *)
 
 val commit_pending : unit -> unit
-(** Apply all queued {!set_next} writes. Called by the kernel. The queue is
+(** Apply all queued {!set_next} writes, newest first (so the last write
+    to a signal wins, and changes, recorder events and listener firings
+    follow reverse write order). Called by the kernel. The queue is
     emptied before any write is applied, so an exception raised mid-commit
-    (e.g. a [Width_mismatch]) never leaves stale writes to be replayed by
-    the next cycle. *)
+    (e.g. by a listener) never leaves stale writes to be replayed by the
+    next cycle. *)
 
 val clear_pending : unit -> unit
 (** Drop queued writes (used when tearing a simulation down mid-cycle). *)
 
 val clear_pending_for : owner:int -> unit
 (** Drop only the queued writes to signals stamped with [owner] (see
-    {!set_owner}). A harness retiring one simulation mid-cycle uses this so
+    {!set_owner}); the other writes keep their order. A harness retiring one simulation mid-cycle uses this so
     it cannot drop writes belonging to a cached design that will replay
     later in the same domain. *)
 

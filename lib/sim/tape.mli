@@ -8,12 +8,13 @@
       Kahn's algorithm, registration index breaking ties and combinational
       cycles;
     + {e SoA flatten} — intern every read signal into a slot of contiguous
-      structure-of-arrays buffers: values of width ≤ 63 packed as immediate
-      ints, 64-bit signals in a [Bits.t] side table;
+      structure-of-arrays buffers: values of width ≤ 63 copied as the
+      signals' immediate ints ({!Signal.get_raw}), 64-bit signals in a
+      [Bits.t] side table;
     + {e tape emit} — precompute, per slot, the bitmask of reader positions,
       plus the mask of edge-sensitive positions re-armed every settle.
 
-    {!settle} then walks the tape with zero allocation in the steady state:
+    {!settle} then walks the tape without allocating:
     dirtiness is an int bitset over tape positions; writes flow through the
     domain-local touch hook (installed only while settling) straight into a
     bitmask OR. [`Always`] components are pinned to every pass. Settled
@@ -52,9 +53,12 @@ val restore : t -> snapshot -> unit
     state a fresh compile leaves behind). Zero allocation beyond the
     snapshot itself. *)
 
-val settle : t -> max_iters:int -> record:(Component.t -> unit) option -> (int * int)
+val settle : t -> max_iters:int -> record:(Component.t -> unit) option -> int
 (** [settle t ~max_iters ~record] runs delta passes until quiescent and
-    returns [(productive_passes, evaluations)] — a pass is productive when
-    it changed at least one signal (the uniform iteration accounting, see
+    returns the number of productive passes — a pass is productive when it
+    changed at least one signal (the uniform iteration accounting, see
     {!Kernel.stats}). [record] is the kernel's preallocated flight-recorder
-    hook ([None] when tracing is off). *)
+    hook ([None] when tracing is off). Allocates nothing. *)
+
+val evals : t -> int
+(** Component evaluations run by the last {!settle}. *)

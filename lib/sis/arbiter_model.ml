@@ -2,6 +2,29 @@ open Splice_sim
 open Splice_bits
 open Splice_obs
 
+(* output mux, selected by FUNC_ID: the selected stub's ports, or all
+   zeros when no stub owns the id *)
+let rec mux (sis : Sis_if.t) id = function
+  | [] ->
+      Signal.set_int sis.Sis_if.data_out 0;
+      Signal.set_bool sis.Sis_if.data_out_valid false;
+      Signal.set_bool sis.Sis_if.io_done false
+  | (i, (p : Stub_model.ports)) :: rest ->
+      if i <> id then mux sis id rest
+      else begin
+        Signal.assign ~dst:sis.Sis_if.data_out ~src:p.data_out;
+        Signal.assign ~dst:sis.Sis_if.data_out_valid ~src:p.data_out_valid;
+        Signal.assign ~dst:sis.Sis_if.io_done ~src:p.io_done
+      end
+
+(* CALC_DONE status vector: bit (id-1) per instance *)
+let rec done_bits acc = function
+  | [] -> acc
+  | (id, (p : Stub_model.ports)) :: rest ->
+      done_bits
+        (if Signal.get_bool p.calc_done then acc lor (1 lsl (id - 1)) else acc)
+        rest
+
 let make ?(obs = Obs.none) ~stubs (sis : Sis_if.t) =
   let ids = List.map fst stubs in
   List.iter
@@ -20,30 +43,17 @@ let make ?(obs = Obs.none) ~stubs (sis : Sis_if.t) =
               the vector is only %d bit(s) wide"
              id (id - 1) vec_width))
     ids;
-  let width = Signal.width sis.Sis_if.data_out in
   let comb () =
-    (* output mux, selected by FUNC_ID *)
-    let id = Signal.get_int sis.Sis_if.func_id in
-    (match List.assoc_opt id stubs with
-    | Some (p : Stub_model.ports) ->
-        Signal.set sis.Sis_if.data_out (Signal.get p.data_out);
-        Signal.set_bool sis.Sis_if.data_out_valid
-          (Signal.get_bool p.data_out_valid);
-        Signal.set_bool sis.Sis_if.io_done (Signal.get_bool p.io_done)
-    | None ->
-        Signal.set sis.Sis_if.data_out (Bits.zero width);
-        Signal.set_bool sis.Sis_if.data_out_valid false;
-        Signal.set_bool sis.Sis_if.io_done false);
-    (* CALC_DONE status vector: bit (id-1) per instance; construction
-       rejected any id whose bit would fall outside the vector *)
-    let vec =
-      List.fold_left
-        (fun acc (id, (p : Stub_model.ports)) ->
-          if Signal.get_bool p.calc_done then Bits.set_bit acc (id - 1) true
-          else acc)
-        (Bits.zero vec_width) stubs
-    in
-    Signal.set sis.Sis_if.calc_done vec
+    mux sis (Signal.get_int sis.Sis_if.func_id) stubs;
+    (* construction rejected any id whose bit would fall outside the
+       vector; only a 64-bit vector needs the [Bits] path for bit 63 *)
+    if vec_width <= 63 then Signal.set_int sis.Sis_if.calc_done (done_bits 0 stubs)
+    else
+      Signal.set sis.Sis_if.calc_done
+        (List.fold_left
+           (fun acc (id, (p : Stub_model.ports)) ->
+             Bits.set_bit acc (id - 1) (Signal.get_bool p.calc_done))
+           (Bits.zero vec_width) stubs)
   in
   (* grant bookkeeping: a grant is an IO_DONE-high cycle for the selected
      function; the wait histogram measures request strobe -> first grant *)

@@ -37,7 +37,7 @@ let attach kernel (sis : Sis_if.t) =
               fail cycle "new IO_ENABLE while a write word is outstanding";
             if not div then
               fail cycle "DATA_IN_VALID dropped before IO_DONE on a write";
-            if not (Bits.equal data (Signal.get sis.data_in)) then
+            if not (Signal.holds sis.data_in data) then
               fail cycle "DATA_IN changed before IO_DONE on a write (§4.2.1)";
             if fid <> id then
               fail cycle "FUNC_ID changed before IO_DONE on a write (§4.2.1)"

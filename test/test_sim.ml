@@ -71,6 +71,189 @@ let signal_tests =
         check_int "interrupted write stands" 1 (Signal.get_int b));
   ]
 
+(* Immediate-int storage edges: the widths where an OCaml int stops being
+   a plain non-negative number (63 bits) or cannot hold the value at all
+   (64 bits, the [Bits.t] slow path), and the array-backed deferred-write
+   queue. *)
+let check_bits name expected got =
+  check_bool
+    (Format.asprintf "%s: %a = %a" name Bits.pp expected Bits.pp got)
+    true (Bits.equal expected got)
+
+let does_not_fit = Failure "Bits.to_int: does not fit"
+
+let vcd_of_run sched ~width ~step =
+  (* a [width]-bit accumulator through one comb adder and one register *)
+  let acc = Signal.create ~name:"acc" width and sum = Signal.create ~name:"sum" width in
+  let k = Kernel.create ~sched () in
+  Kernel.add k
+    (Component.make ~reads:[ acc ]
+       ~comb:(fun () -> Signal.set sum (Bits.add (Signal.get acc) step))
+       ~seq:(fun () -> Signal.set_next acc (Signal.get sum))
+       "acc");
+  let path = Filename.temp_file "splice" ".vcd" in
+  let vcd = Vcd.create ~path ~module_name:"tb" [ acc; sum ] in
+  Vcd.attach vcd k;
+  Kernel.run k 5;
+  Vcd.close vcd;
+  let ic = open_in path in
+  let contents = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  (Signal.get acc, contents)
+
+let storage_tests =
+  [
+    t "63-bit value with its top bit set round-trips" (fun () ->
+        let s = Signal.create 63 in
+        let v = Bits.create ~width:63 0x4000_0000_0000_0005L in
+        Signal.set s v;
+        check_bits "get" v (Signal.get s);
+        check_bool "holds" true (Signal.holds s v);
+        check_bool "get_bool" true (Signal.get_bool s);
+        Alcotest.check_raises "Bits.to_int" does_not_fit (fun () ->
+            ignore (Bits.to_int v));
+        Alcotest.check_raises "get_int raises like Bits.to_int" does_not_fit
+          (fun () -> ignore (Signal.get_int s));
+        Signal.set_next s (Bits.create ~width:63 0x3FFF_FFFF_FFFF_FFFFL);
+        Signal.commit_pending ();
+        check_int "largest non-negative fits" max_int (Signal.get_int s));
+    t "negative set_int / set_next_int mask like Bits.of_int" (fun () ->
+        List.iter
+          (fun width ->
+            List.iter
+              (fun v ->
+                let expected = Bits.of_int ~width v in
+                let name = Printf.sprintf "width %d, %d" width v in
+                let s = Signal.create width in
+                Signal.set_int s v;
+                check_bits (name ^ " set_int") expected (Signal.get s);
+                let s = Signal.create width in
+                Signal.set_next_int s v;
+                Signal.commit_pending ();
+                check_bits (name ^ " set_next_int") expected (Signal.get s))
+              [ -1; -2; -12345; min_int; max_int ])
+          [ 1; 2; 7; 32; 62; 63; 64 ]);
+    t "64-bit signals: set, set_next, commit, restore, recorder" (fun () ->
+        let s = Signal.create ~name:"wide" 64 in
+        let top = Bits.create ~width:64 0x8000_0000_0000_0003L in
+        let r = Recorder.create () in
+        Signal.attach_recorder (Some r);
+        Signal.set s top;
+        Signal.attach_recorder None;
+        check_bits "set" top (Signal.get s);
+        check_bool "holds" true (Signal.holds s top);
+        check_bool "get_bool" true (Signal.get_bool s);
+        check_int "get_raw drops bit 63" 3 (Signal.get_raw s);
+        Alcotest.check_raises "get_int" does_not_fit (fun () ->
+            ignore (Signal.get_int s));
+        (match Recorder.events r with
+        | [ e ] ->
+            check_int "recorded low 63 bits"
+              (Int64.to_int (Bits.to_int64 top))
+              e.Recorder.e_arg
+        | es -> Alcotest.failf "expected one event, got %d" (List.length es));
+        let next = Bits.create ~width:64 (-2L) in
+        Signal.set_next s next;
+        check_bits "deferred" top (Signal.get s);
+        Signal.commit_pending ();
+        check_bits "committed" next (Signal.get s);
+        (* a write differing only in bit 63 is a change *)
+        let c = Signal.change_count () in
+        Signal.set s (Bits.create ~width:64 Int64.max_int);
+        check_int "bit 63 change counted" (c + 1) (Signal.change_count ());
+        let c = Signal.change_count () in
+        Signal.restore_value s top;
+        check_bits "restored" top (Signal.get s);
+        check_int "restore is silent" c (Signal.change_count ());
+        let copy = Signal.create 64 in
+        Signal.assign ~dst:copy ~src:s;
+        check_bits "assign" top (Signal.get copy);
+        Signal.set_int copy 0;
+        Signal.assign_next ~dst:copy ~src:s;
+        Signal.commit_pending ();
+        check_bits "assign_next" top (Signal.get copy));
+    t "64-bit registers give equal VCDs on all three schedulers" (fun () ->
+        let step = Bits.create ~width:64 0x9000_0000_0000_0001L in
+        let v_s, d_s = vcd_of_run `Sweep ~width:64 ~step in
+        let v_e, d_e = vcd_of_run `Event ~width:64 ~step in
+        let v_c, d_c = vcd_of_run `Compiled ~width:64 ~step in
+        (* five edges: acc = 5 * step mod 2^64 *)
+        check_bits "value" (Bits.mul step (Bits.of_int ~width:64 5)) v_s;
+        check_bits "event" v_s v_e;
+        check_bits "compiled" v_s v_c;
+        Alcotest.(check string) "event vcd" d_s d_e;
+        Alcotest.(check string) "compiled vcd" d_s d_c);
+    t "assign checks widths" (fun () ->
+        let a = Signal.create ~name:"a" 8 and b = Signal.create ~name:"b" 4 in
+        Alcotest.check_raises "assign"
+          (Bits.Width_mismatch "Signal.assign a: 4 vs 8") (fun () ->
+            Signal.assign ~dst:a ~src:b));
+    t "queue: last write wins and commits newest-first past its capacity"
+      (fun () ->
+        (* 2 x 200 writes overflow the initial queue several times *)
+        let n = 200 in
+        let sigs = Array.init n (fun _ -> Signal.create 16) in
+        let fired = ref [] in
+        Array.iteri (fun i s -> Signal.on_change s (fun () -> fired := i :: !fired)) sigs;
+        Array.iter (fun s -> Signal.set_next_int s 1) sigs;
+        Array.iteri (fun i s -> Signal.set_next_int s (i + 2)) sigs;
+        Signal.commit_pending ();
+        Array.iteri (fun i s -> check_int "last write" (i + 2) (Signal.get_int s)) sigs;
+        (* newest-first: the last-queued signal fires first *)
+        Alcotest.(check (list int)) "apply order" (List.init n Fun.id) !fired;
+        (* an older write equal to the current value is still shadowed *)
+        let s = sigs.(0) in
+        Signal.set_next_int s 7;
+        Signal.set_next_int s 2;
+        Signal.commit_pending ();
+        check_int "shadowed" 2 (Signal.get_int s);
+        Signal.commit_pending ();
+        check_int "nothing replayed" 2 (Signal.get_int s));
+    t "queue: a raise mid-commit leaves it empty, even after growth" (fun () ->
+        let sigs = Array.init 150 (fun _ -> Signal.create 8) in
+        let boom = sigs.(100) in
+        let armed = ref true in
+        Signal.on_change boom (fun () ->
+            if !armed then begin
+              armed := false;
+              failwith "listener boom"
+            end);
+        Array.iter (fun s -> Signal.set_next_int s 1) sigs;
+        (match Signal.commit_pending () with
+        | () -> Alcotest.fail "expected the listener to raise"
+        | exception Failure _ -> ());
+        (* newest-first: 149..100 applied, 99..0 dropped with the queue *)
+        check_int "applied before the raise" 1 (Signal.get_int sigs.(149));
+        check_int "dropped" 0 (Signal.get_int sigs.(0));
+        Signal.set_next_int sigs.(1) 9;
+        Signal.commit_pending ();
+        check_int "queue usable" 9 (Signal.get_int sigs.(1));
+        check_int "no stale replay" 0 (Signal.get_int sigs.(0)));
+    t "clear_pending_for keeps other owners' writes in order" (fun () ->
+        let mk name owner =
+          let s = Signal.create ~name 8 in
+          Signal.set_owner s ~owner;
+          s
+        in
+        let a = mk "a" 1 and b = mk "b" 2 and c = mk "c" 2 in
+        let fired = ref [] in
+        List.iter
+          (fun s -> Signal.on_change s (fun () -> fired := Signal.name s :: !fired))
+          [ a; b; c ];
+        Signal.set_next_int b 1;
+        Signal.set_next_int a 1;
+        Signal.set_next_int c 1;
+        Signal.set_next_int b 2;
+        Signal.set_next_int a 2;
+        Signal.clear_pending_for ~owner:1;
+        Signal.commit_pending ();
+        check_int "a dropped" 0 (Signal.get_int a);
+        check_int "b last write" 2 (Signal.get_int b);
+        check_int "c kept" 1 (Signal.get_int c);
+        Alcotest.(check (list string)) "apply order" [ "b"; "c" ] (List.rev !fired));
+  ]
+
 let kernel_tests =
   [
     t "seq sees pre-edge values (register semantics)" (fun () ->
@@ -457,11 +640,43 @@ let determinism_tests =
         Alcotest.(check string) "waves" w1 w2);
   ]
 
+(* Deterministic allocation gate: minor-heap words per simulated cycle of a
+   warm Fig 9.2 Splice PLB scenario-1 call (95 cycles). About 20 are
+   measured; boxed signal values would cost 107-125, so the ceiling catches
+   a return to boxing without depending on wall time. *)
+let words_per_cycle_ceiling = 60.
+
+let words_per_cycle sched =
+  let host =
+    Splice.Interpolator.make_host ~sched Splice.Interpolator.Splice_plb_simple
+  in
+  let scenario = Splice.Interp_scenarios.by_id 1 in
+  ignore (Splice.Interpolator.run host scenario);
+  let w0 = Gc.minor_words () in
+  let _, cycles = Splice.Interpolator.run host scenario in
+  let words = Gc.minor_words () -. w0 in
+  (cycles, words /. float_of_int cycles)
+
+let alloc_tests =
+  List.map
+    (fun (label, sched) ->
+      t (Printf.sprintf "%s: warm Fig 9.2 call stays under the words/cycle ceiling" label)
+        (fun () ->
+          let cycles, wpc = words_per_cycle sched in
+          check_int "cycles" 95 cycles;
+          check_bool
+            (Printf.sprintf "%.1f words/cycle <= %.0f" wpc words_per_cycle_ceiling)
+            true
+            (wpc <= words_per_cycle_ceiling)))
+    [ ("event", `Event); ("sweep", `Sweep); ("compiled", `Compiled) ]
+
 let tests =
   [
     ("sim.signal", signal_tests);
+    ("sim.storage", storage_tests);
     ("sim.kernel", kernel_tests);
     ("sim.scheduler", scheduler_tests);
     ("sim.wave", wave_tests);
     ("sim.determinism", determinism_tests);
+    ("sim.alloc", alloc_tests);
   ]
