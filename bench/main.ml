@@ -96,7 +96,7 @@ let bench_cycles_compiled_kernel =
       (Splice.Interpolator.make_host ~sched:`Compiled
          Splice.Interpolator.Splice_plb_simple)
   in
-  Test.make ~name:"driver call, compiled op-tape scheduler"
+  Test.make ~name:"driver call, compiled (levelized) scheduler"
     (Staged.stage (fun () ->
          ignore
            (Splice.Interpolator.run (Lazy.force host)
@@ -264,10 +264,11 @@ let recorder_overhead ~reps ~batch =
 (* Settle-loop speedup, measured paired like [recorder_overhead]: a
    [depth]-deep combinational chain registered in reverse data order and
    re-excited every cycle — the settle loop is essentially the entire
-   cycle. The interpreted schedulers need [depth] ordered delta passes
-   (each a full O(n) walk over the component array), the levelized tape
-   one pass over an int bitset — this isolates exactly the dispatch cost
-   the op-tape compiles away. *)
+   cycle. The registration-order schedulers need [depth] delta passes
+   (sweep: each a full O(n) walk over the component array; event: one
+   evaluation per pass, but a walk over the array to find it), the
+   levelized order one pass — this isolates exactly the pass count the
+   compiled scheduler's seal-time levelization saves. *)
 let chain_depth = 128
 
 let make_chain ~sched ~depth =
@@ -277,7 +278,7 @@ let make_chain ~sched ~depth =
       ~max_comb_iters:(depth + 4) ()
   in
   (* consumer-before-producer registration: in-pass propagation cannot
-     collapse the interpreted schedulers' pass count *)
+     collapse the registration-order schedulers' pass count *)
   for i = depth - 1 downto 0 do
     let src = sigs.(i) and dst = sigs.(i + 1) in
     Splice.Kernel.add k
@@ -356,7 +357,8 @@ let cache_replay ~reps ~batch =
 
 (* Build-phase accounting (satellite of E19): where the wall time to the
    first runnable cycle goes on a fresh build — the costs a replay skips
-   (elaborate) or defers to the next seal (seal, compile). *)
+   (elaborate) or repeats at the next seal (seal, compile: calibration +
+   levelization). *)
 let build_phases () =
   let host =
     Splice.Interpolator.make_host ~sched:`Compiled
@@ -395,7 +397,7 @@ let print_speedup (sweep, event, compiled) =
      %-44s %10.2f x\n"
     chain_depth "settle, sweep scheduler" (sweep /. 1e3)
     "settle, event scheduler" (event /. 1e3)
-    "settle, compiled op-tape" (compiled /. 1e3)
+    "settle, compiled (levelized)" (compiled /. 1e3)
     "compiled vs event" (event /. compiled)
     "compiled vs sweep" (sweep /. compiled)
 

@@ -677,7 +677,7 @@ let fuzz_cmd =
        ~doc:
          "Differential conformance fuzzing: run random specifications and \
           random traffic on every registered bus under all three kernel \
-          schedulers (event, sweep, compiled op-tape), with all protocol \
+          schedulers (event, sweep, compiled), with all protocol \
           monitors attached, asserting golden-model data equality and \
           scheduler cycle-count agreement. Prints a reproduction command \
           on failure.")

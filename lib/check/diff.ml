@@ -79,7 +79,8 @@ type report = {
 let phase_ns : (int ref * int ref) Splice_par.Dls.t =
   Splice_par.Dls.make (fun () -> (ref 0, ref 0))
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+(* the kernel's monotonic clock, as an int *)
+let now_ns () = Int64.to_int (Kernel.now_ns ())
 
 let sched_name = function
   | `Event -> "event"

@@ -5,7 +5,7 @@
     turns that claim into an executable check: each random specification and
     its random traffic (from {!Specgen}) runs on {e every} bus in the
     matrix, under {e all three} kernel schedulers (event-driven, sweep, and
-    the compiled op-tape), with the SIS monitor and the per-bus
+    compiled), with the SIS monitor and the per-bus
     {!Bus_monitor} attached — asserting
 
     - golden-model data equality (the digest round-trip of
@@ -13,7 +13,7 @@
     - no protocol-monitor violation on any bus;
     - the E14 scheduler invariant: every scheduler in the list agrees on
       the cycle count of every call — this is the gate that fails a run
-      (and CI) when the compiled tape disagrees with the event oracle on
+      (and CI) when the compiled scheduler disagrees with the event oracle on
       any cell.
 
     On failure the offending spec is shrunk and packaged with the exact

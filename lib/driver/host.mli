@@ -100,19 +100,7 @@ val prepare_reuse : t -> reuse
 (** Take the snapshot. Call once, after {!create} and every {!adopt}, and
     before the first simulated cycle. *)
 
-type compiled_snap
-(** The [`Compiled] replay fast path: the sealed tape, its buffer snapshot
-    ({!Kernel.tape} + [Tape.snapshot]) and the post-calibration signal
-    values, captured from inside a seal hook. *)
-
-val on_sealed : t -> (unit -> unit) -> unit
-(** One-shot hook after the kernel's next seal ({!Kernel.set_seal_hook});
-    the design cache captures {!capture_compiled} from it. *)
-
-val capture_compiled : t -> reuse -> compiled_snap option
-(** [None] unless the kernel is sealed under [`Compiled]. *)
-
-val reset : ?sched:Kernel.sched -> ?compiled:compiled_snap -> t -> reuse -> unit
+val reset : ?sched:Kernel.sched -> t -> reuse -> unit
 (** Rewind to the {!reuse} snapshot, optionally re-targeting the scheduler.
-    With [compiled] (callers must then pass [~sched:`Compiled]), restore
-    the captured tape instead of letting the first cycle recompile it. *)
+    The kernel is left unsealed: the first replay cycle re-seals (and under
+    [`Compiled] re-levelizes), the same path for every scheduler. *)

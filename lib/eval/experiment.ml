@@ -284,14 +284,14 @@ module Scheduler = struct
     let buf = Buffer.create 512 in
     Buffer.add_string buf
       "Scheduler ablation (E14): sweep-until-quiescent vs event-driven \
-       delta scheduling vs compiled op-tape\n";
+       delta scheduling vs compiled (levelized) scheduling\n";
     Buffer.add_string buf
       "(identical cycle counts required; comb evaluations are the work \
        saved)\n";
     Buffer.add_string buf
       (Printf.sprintf "%-28s %9s %9s %9s %6s %11s %11s %11s %8s %8s\n"
-         "workload" "cyc(swp)" "cyc(evt)" "cyc(tape)" "match" "evals(swp)"
-         "evals(evt)" "evals(tape)" "sav(evt)" "sav(tape)");
+         "workload" "cyc(swp)" "cyc(evt)" "cyc(cmp)" "match" "evals(swp)"
+         "evals(evt)" "evals(cmp)" "sav(evt)" "sav(cmp)");
     List.iter
       (fun p ->
         Buffer.add_string buf

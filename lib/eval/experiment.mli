@@ -45,13 +45,14 @@ end
 
 (** E14 — comb scheduling (the simulator itself): the same workloads run on
     the legacy sweep-until-quiescent kernel, the event-driven dirty-set
-    kernel, and the compiled op-tape. Cycle counts must be identical — the
+    kernel, and the compiled (levelized) kernel. Cycle counts must be
+    identical — the
     scheduler is an implementation detail of the simulator, not of the
     modelled hardware — while the number of comb-callback evaluations
     drops, and the drop grows with the number of functions sharing the
     arbiter (the sweep re-evaluates every stub on every delta pass; the
-    event kernel only the selected one; the tape additionally levelizes,
-    so fewer delta passes reach the same fixpoint). *)
+    event kernel only the selected one; the compiled kernel additionally
+    levelizes, so fewer delta passes reach the same fixpoint). *)
 module Scheduler : sig
   type point = {
     label : string;
@@ -71,7 +72,7 @@ module Scheduler : sig
       sweep). *)
 
   val saving_compiled : point -> float
-  (** Percentage of comb evaluations the compiled op-tape avoided (vs
+  (** Percentage of comb evaluations the compiled scheduler avoided (vs
       sweep). *)
 
   val interp_point :

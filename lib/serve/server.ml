@@ -65,7 +65,8 @@ type t = {
   requests : (string * string, int ref) Hashtbl.t;  (* (kind, outcome) *)
 }
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+(* the kernel's monotonic clock, as an int *)
+let now_ns () = Int64.to_int (Splice_sim.Kernel.now_ns ())
 
 (* ---- one-shot synchronization cell (pool task -> connection thread) *)
 
@@ -420,27 +421,67 @@ let write_all fd s =
   let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
   go 0
 
-(* Reads one newline-terminated line; [acc] carries bytes already read
-   past the previous line. A clean EOF at a line boundary is [`Eof];
-   an EOF mid-line drops the partial line (the client vanished). *)
-let rec read_line fd acc ~max_line =
-  match String.index_opt acc '\n' with
-  | Some i ->
-      let line = String.sub acc 0 i in
-      let line =
-        if line <> "" && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      let rest = String.sub acc (i + 1) (String.length acc - i - 1) in
-      `Line (line, rest)
-  | None ->
-      if String.length acc > max_line then `Oversized
-      else
-        let buf = Bytes.create 4096 in
-        let n = try Unix.read fd buf 0 4096 with Unix.Unix_error _ -> 0 in
-        if n = 0 then `Eof
-        else read_line fd (acc ^ Bytes.sub_string buf 0 n) ~max_line
+(* Per-connection line reader. Bytes read but not yet returned stay in
+   [buf] from [start] on; [buf] up to [scanned] is known to hold no
+   newline. Every byte is appended, scanned and (when a partial line is
+   compacted to the front) copied at most once, so a line costs time
+   linear in its length up to [max_line]. *)
+type reader = {
+  r_fd : Unix.file_descr;
+  chunk : Bytes.t;
+  buf : Buffer.t;
+  mutable start : int;
+  mutable scanned : int;
+}
+
+let reader fd =
+  {
+    r_fd = fd;
+    chunk = Bytes.create 4096;
+    buf = Buffer.create 4096;
+    start = 0;
+    scanned = 0;
+  }
+
+(* The next line without its '\n' (and one trailing '\r'); [`Oversized]
+   once more than [max_line] bytes arrive without a newline. A clean EOF
+   at a line boundary is [`Eof]; an EOF mid-line drops the partial line
+   (the client vanished). *)
+let rec read_line r ~max_line =
+  let len = Buffer.length r.buf in
+  let i = ref r.scanned in
+  while !i < len && Buffer.nth r.buf !i <> '\n' do
+    incr i
+  done;
+  if !i < len then begin
+    let nl = !i in
+    let stop =
+      if nl > r.start && Buffer.nth r.buf (nl - 1) = '\r' then nl - 1 else nl
+    in
+    let line = Buffer.sub r.buf r.start (stop - r.start) in
+    r.start <- nl + 1;
+    r.scanned <- nl + 1;
+    `Line line
+  end
+  else if len - r.start > max_line then `Oversized
+  else begin
+    if r.start > 0 then begin
+      let rest = Buffer.sub r.buf r.start (len - r.start) in
+      Buffer.clear r.buf;
+      Buffer.add_string r.buf rest;
+      r.start <- 0
+    end;
+    r.scanned <- Buffer.length r.buf;
+    let n =
+      try Unix.read r.r_fd r.chunk 0 (Bytes.length r.chunk)
+      with Unix.Unix_error _ -> 0
+    in
+    if n = 0 then `Eof
+    else begin
+      Buffer.add_subbytes r.buf r.chunk 0 n;
+      read_line r ~max_line
+    end
+  end
 
 let http_response ~status ~content_type body =
   Printf.sprintf
@@ -660,8 +701,9 @@ let handle_line t fd line =
       end)
 
 let handle_conn t fd =
-  let rec loop acc =
-    match read_line fd acc ~max_line:t.cfg.max_line with
+  let r = reader fd in
+  let rec loop () =
+    match read_line r ~max_line:t.cfg.max_line with
     | `Eof -> ()
     | `Oversized ->
         let reply =
@@ -678,19 +720,19 @@ let handle_conn t fd =
         (try write_all fd (Json.to_string reply ^ "\n")
          with Unix.Unix_error _ -> ());
         record t ~kind:"unknown" ~outcome:P.Rejected ~latency_ns:0 None
-    | `Line (line, rest) ->
-        if line = "" then loop rest
+    | `Line line ->
+        if line = "" then loop ()
         else if String.length line >= 4 && String.sub line 0 4 = "GET " then
           (* plain HTTP GET on the same port; respond and close *)
           try handle_http t fd line with Unix.Unix_error _ -> ()
         else begin
           let continue = try handle_line t fd line with Unix.Unix_error _ -> false in
-          if continue then loop rest
+          if continue then loop ()
         end
   in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () -> loop "")
+    loop
 
 (* ---- lifecycle ------------------------------------------------------ *)
 

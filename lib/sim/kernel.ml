@@ -14,17 +14,18 @@ type domain = {
    behave exactly as before *)
 let dom_fires d tick = tick mod d.d_period = d.d_phase
 
-(* wall-clock nanoseconds for build-phase accounting (elaborate/seal/
-   compile); coarse microsecond resolution is plenty for phases that cost
-   tens of microseconds to milliseconds *)
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
+(* CLOCK_MONOTONIC in nanoseconds (clock_stubs.c): never steps backwards,
+   so phase times and latencies measured with it are never negative *)
+external now_ns : unit -> (int64[@unboxed])
+  = "splice_now_ns_byte" "splice_now_ns"
+[@@noalloc]
 
 type t = {
   max_comb_iters : int;
   mutable sched : sched;
       (* mutable so a cached design can be re-targeted: the cache resets the
          kernel and flips the scheduler, and the next seal rebuilds whatever
-         the new scheduler needs (listeners for [`Event], a tape for
+         the new scheduler needs (listeners, plus the levelized order under
          [`Compiled]) from the restored build-time state *)
   gen : int;
       (* process-unique kernel generation id (from a global atomic counter,
@@ -56,18 +57,16 @@ type t = {
   mutable settle_doms : domain array; (* parallel to [settle_hooks_fwd] *)
   mutable edge_comps : Component.t array;
       (* state-sensitive components, re-marked dirty at every settle *)
+  mutable order : Component.t array;
+      (* what a dirty-set delta pass walks: [comps_fwd] under [`Event];
+         under [`Compiled] the [Always] components, then the combinational
+         [Reads] components in levelized order (see [levelize]) *)
   mutable has_always : bool;
   mutable n_dirty : int;
-  mutable tape : Tape.t option;
-      (* the [`Compiled] scheduler's op-tape, (re)built at seal time *)
   mutable reset_hooks : (unit -> unit) list; (* reversed *)
       (* design-level reset actions beyond per-component [reset] callbacks:
          cover watchers, FIFO memories, connect-time side effects a replay
          must reproduce *)
-  mutable seal_hook : (unit -> unit) option;
-      (* one-shot post-seal callback (cleared before it runs): the design
-         cache uses it to capture the compiled tape + calibrated signal
-         state for the same-scheduler replay fast path *)
   mutable k_elaborate_ns : int64;
       (* build-phase accounting, distinct from settle time: elaborate is
          stamped by the host ([note_elaborate_ns]), seal/compile are
@@ -78,9 +77,6 @@ type t = {
      the hot path) plus interned subject ids for the kernel itself and the
      registered checks *)
   rec_ : Recorder.t option;
-  rec_fn : (Component.t -> unit) option;
-      (* preallocated per-evaluation recording hook for the compiled tape
-         (allocating it per settle would break the zero-allocation loop) *)
   rec_kernel_id : int;
   mutable check_ids : int array;
   comb_hist : Metrics.histogram;
@@ -128,7 +124,6 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
     domains = [ base ];
     multi = false;
     rec_;
-    rec_fn = (match rec_ with Some r -> Some (fun c -> record_eval r c) | None -> None);
     gen = 1 + Atomic.fetch_and_add gen_counter 1;
     rec_kernel_id =
       (match rec_ with Some r -> Recorder.intern r "kernel" | None -> -1);
@@ -153,11 +148,10 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
     settle_hooks_fwd = [||];
     settle_doms = [||];
     edge_comps = [||];
+    order = [||];
     has_always = false;
     n_dirty = 0;
-    tape = None;
     reset_hooks = [];
-    seal_hook = None;
     k_elaborate_ns = 0L;
     k_seal_ns = 0L;
     k_compile_ns = 0L;
@@ -230,6 +224,88 @@ let mark_dirty t (c : Component.t) =
     t.n_dirty <- t.n_dirty + 1
   end
 
+(* [`Compiled]: levelize the combinational [Reads] components from the
+   writer -> reader edges the fan-out listeners reveal, and return them in
+   evaluation order behind the [Always] components (which run first in
+   every pass).
+
+   Write discovery is one calibration pass: every comb runs once in
+   registration order (exactly the all-dirty first pass the event scheduler
+   starts from), and after each evaluation the dirty flags its writes
+   raised are drained — a component marked by [u]'s evaluation reads
+   something [u] wrote. Each reader is drained once per writer, so the
+   edges come out duplicate-free. Only writes that change a value are seen;
+   a missed edge costs at most an extra delta pass at run time, never
+   correctness, because the settle loop is still a fixpoint iteration.
+
+   Kahn's algorithm then orders the graph, ties (and cycles, e.g.
+   combinational feedback through handshakes) broken toward the lowest
+   registration index so in-pass propagation order stays a subsequence of
+   the event scheduler's. O(n^2) in the component count, run once per
+   seal. Every component leaves dirty, so the first settle evaluates each
+   of them once more in the new order. *)
+let levelize t =
+  let cands = ref [] and always = ref [] in
+  Array.iter
+    (fun (c : Component.t) ->
+      match c.Component.sensitivity with
+      | Component.Always -> always := c :: !always
+      | Component.Reads _ -> if c.Component.has_comb then cands := c :: !cands)
+    t.comps_fwd;
+  let cands = Array.of_list (List.rev !cands) in
+  let n = Array.length cands in
+  Array.iter (fun (c : Component.t) -> c.Component.dirty <- false) t.comps_fwd;
+  t.n_dirty <- 0;
+  let succs = Array.make n [] and indeg = Array.make n 0 in
+  (* [u = -1]: an [Always] writer, whose edges the order cannot use *)
+  let drain u =
+    for v = 0 to n - 1 do
+      let c = Array.unsafe_get cands v in
+      if c.Component.dirty then begin
+        c.Component.dirty <- false;
+        t.n_dirty <- t.n_dirty - 1;
+        if u >= 0 && v <> u then begin
+          succs.(u) <- v :: succs.(u);
+          indeg.(v) <- indeg.(v) + 1
+        end
+      end
+    done
+  in
+  let next = ref 0 in
+  Array.iter
+    (fun (c : Component.t) ->
+      if c.Component.has_comb then begin
+        c.Component.comb ();
+        match c.Component.sensitivity with
+        | Component.Reads _ ->
+            drain !next;
+            incr next
+        | Component.Always -> drain (-1)
+      end)
+    t.comps_fwd;
+  let emitted = Array.make n false in
+  let order = Array.make n 0 in
+  for pos = 0 to n - 1 do
+    let pick = ref (-1) in
+    for u = n - 1 downto 0 do
+      if (not emitted.(u)) && indeg.(u) = 0 then pick := u
+    done;
+    if !pick < 0 then
+      (* every remaining node sits on a cycle: force the earliest-registered
+         one and let the fixpoint loop absorb the feedback *)
+      for u = n - 1 downto 0 do
+        if not emitted.(u) then pick := u
+      done;
+    let u = !pick in
+    emitted.(u) <- true;
+    order.(pos) <- u;
+    List.iter (fun v -> indeg.(v) <- indeg.(v) - 1) succs.(u)
+  done;
+  Array.iter (mark_dirty t) cands;
+  Array.append
+    (Array.of_list (List.rev !always))
+    (Array.map (Array.get cands) order)
+
 let seal t =
   let t0 = now_ns () in
   let comps = Array.of_list (List.rev t.components) in
@@ -254,7 +330,7 @@ let seal t =
       | Component.Always -> t.has_always <- true
       | Component.Reads { signals; edge = e } ->
           if e && c.Component.has_comb then edge := c :: !edge;
-          if t.sched = `Event && c.Component.reg_gen <> t.gen then begin
+          if t.sched <> `Sweep && c.Component.reg_gen <> t.gen then begin
             (* a component migrating from an earlier kernel may carry that
                kernel's dirty bit; clear it before this kernel counts it *)
             if c.Component.reg_gen <> 0 then c.Component.dirty <- false;
@@ -276,22 +352,20 @@ let seal t =
   let compile_delta =
     if t.sched = `Compiled then begin
       let c0 = now_ns () in
-      t.tape <- Some (Tape.compile t.comps_fwd);
+      t.order <- levelize t;
       let d = Int64.sub (now_ns ()) c0 in
       t.k_compile_ns <- Int64.add t.k_compile_ns d;
       d
     end
-    else 0L
+    else begin
+      t.order <- t.comps_fwd;
+      0L
+    end
   in
   t.sealed <- true;
-  (* seal time excludes the tape compilation, which is accounted separately *)
+  (* seal time excludes the levelization, which is accounted separately *)
   t.k_seal_ns <-
-    Int64.add t.k_seal_ns (Int64.sub (Int64.sub (now_ns ()) t0) compile_delta);
-  match t.seal_hook with
-  | None -> ()
-  | Some f ->
-      t.seal_hook <- None;
-      f ()
+    Int64.add t.k_seal_ns (Int64.sub (Int64.sub (now_ns ()) t0) compile_delta)
 
 (* Sweep: every component, every delta pass *)
 let sweep_pass t =
@@ -303,12 +377,13 @@ let sweep_pass t =
   done;
   Array.length comps
 
-(* Event: a delta pass only evaluates dirty components, in registration
-   order, so in-pass propagation matches the sweep; evaluations mark their
+(* Event and Compiled: a delta pass only evaluates dirty components, in
+   [order] (registration order under [`Event], so in-pass propagation
+   matches the sweep; levelized under [`Compiled]); evaluations mark their
    fan-out dirty for this pass (later components) or the next one (earlier
    components). Returns the evaluations run. *)
 let event_pass t =
-  let comps = t.comps_fwd in
+  let comps = t.order in
   let evals = ref 0 in
   for i = 0 to Array.length comps - 1 do
     let c = Array.unsafe_get comps i in
@@ -381,18 +456,7 @@ let settle t =
     match
       match t.sched with
       | `Sweep -> settle_sweep t
-      | `Event -> settle_event t
-      | `Compiled -> (
-          let tape =
-            match t.tape with
-            | Some tape -> tape
-            | None -> assert false (* seal always compiles under [`Compiled] *)
-          in
-          match Tape.settle tape ~max_iters:t.max_comb_iters ~record:t.rec_fn with
-          | productive ->
-              t.comb_evals_total <- t.comb_evals_total + Tape.evals tape;
-              productive
-          | exception Tape.Divergence executed -> diverged t executed)
+      | `Event | `Compiled -> settle_event t
     with
     | iters -> iters
     | exception e ->
@@ -509,7 +573,6 @@ let run_until ?(max = 100_000) ?(what = "condition") t p =
   go ()
 
 let cycles t = t.cycle_count
-let tape t = t.tape
 let id t = t.gen
 let obs t = t.obs
 let sched t = t.sched
@@ -529,7 +592,6 @@ let stats t =
 let note_elaborate_ns t ns = t.k_elaborate_ns <- Int64.add t.k_elaborate_ns ns
 
 let at_reset t f = t.reset_hooks <- f :: t.reset_hooks
-let set_seal_hook t f = t.seal_hook <- f
 
 (* Instance reset: bring a finished kernel back to the state it had at the
    end of design elaboration, so the next run replays byte-identically to a
@@ -537,9 +599,8 @@ let set_seal_hook t f = t.seal_hook <- f
    values and observability state around this; [reset] handles everything
    the kernel itself owns. The kernel is left {e unsealed}: the first cycle
    of the replay re-seals — re-interning check ids and, under [`Compiled],
-   recompiling the tape from the restored values — exactly the sequence a
-   fresh host executes, which is what makes replay outputs bit-equal.
-   (The compiled fast path skips the recompile via {!adopt_tape}.) *)
+   re-levelizing from the restored values — exactly the sequence a fresh
+   host executes, which is what makes replay outputs bit-equal. *)
 let reset ?sched t =
   (match sched with Some s -> t.sched <- s | None -> ());
   t.cycle_count <- 0;
@@ -550,14 +611,12 @@ let reset ?sched t =
   t.k_elaborate_ns <- 0L;
   t.k_seal_ns <- 0L;
   t.k_compile_ns <- 0L;
-  t.seal_hook <- None;
-  (* drop the tape and unseal; clear dirty bookkeeping, then queue every
-     combinational [Reads] component for the first pass — the state a fresh
-     kernel reaches right before its first seal marks them. Components whose
+  (* unseal; clear dirty bookkeeping, then queue every combinational
+     [Reads] component for the first pass — the state a fresh kernel
+     reaches right before its first seal marks them. Components whose
      listeners are already registered with this kernel (reg_gen = gen) are
      skipped by the next seal's registration loop, so the marks below stand
      in for the ones seal would have made. *)
-  t.tape <- None;
   t.sealed <- false;
   List.iter (fun ((c : Component.t), _) -> c.Component.dirty <- false) t.components;
   t.n_dirty <- 0;
@@ -571,17 +630,3 @@ let reset ?sched t =
      registration order (the order the build created that state in) *)
   List.iter (fun ((c : Component.t), _) -> c.Component.reset ()) (List.rev t.components);
   List.iter (fun f -> f ()) (List.rev t.reset_hooks)
-
-(* The compiled replay fast path: re-adopt a previously compiled tape (its
-   mutable buffers restored via {!Tape.restore}) instead of unsealing. The
-   forward-order arrays from the last seal are still valid — a replay never
-   registers anything new — so only the recorder's check ids need
-   re-interning (the intern table was truncated to the build-time mark). *)
-let adopt_tape t tape =
-  t.tape <- Some tape;
-  t.sealed <- true;
-  match t.rec_ with
-  | Some r ->
-      t.check_ids <-
-        Array.map (fun (name, _) -> Recorder.intern r name) t.checks_fwd
-  | None -> t.check_ids <- [||]

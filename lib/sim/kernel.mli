@@ -19,15 +19,18 @@
     The [`Sweep] scheduler is the original behaviour — every component on
     every pass — kept for the E14 ablation and as a migration oracle.
 
-    The [`Compiled] scheduler compiles the sealed design into a linear
-    op-tape (see {!Tape}): the component graph is levelized from the
-    declared sensitivities, read-signal state is flattened into contiguous
-    structure-of-arrays buffers, and the settle loop walks the tape with an
-    int-bitset dirty set and zero allocation — no per-signal listener
-    closures at all. All three schedulers produce identical settled values,
-    cycle counts, and traces for components whose sensitivity declarations
-    are accurate; [`Event] and [`Sweep] serve as differential oracles for
-    [`Compiled] in the fuzz grids.
+    The [`Compiled] scheduler is the same dirty set, walked in levelized
+    order: at seal time one calibration pass evaluates every component in
+    registration order and reads the writer→reader edges off the dirty
+    flags the fan-out listeners raise; Kahn's algorithm (lowest
+    registration index breaking ties and cycles) orders the combinational
+    components behind the [Always] ones, so a value usually propagates
+    through a chain in one delta pass. Dirtiness comes only from the
+    declared sensitivity lists, through the same listeners as [`Event].
+    All three schedulers produce identical settled values, cycle counts,
+    and traces for components whose sensitivity declarations are accurate;
+    [`Event] and [`Sweep] serve as differential oracles for [`Compiled] in
+    the fuzz grids.
 
     {e Iteration accounting} is uniform across schedulers: a kernel's
     [comb_iters] counts {e productive} delta passes — passes in which at
@@ -77,8 +80,8 @@ type domain
 type sched = [ `Event | `Sweep | `Compiled ]
 (** [`Event]: dirty-set scheduling driven by sensitivity lists (default).
     [`Sweep]: legacy re-evaluate-everything fixpoint loop.
-    [`Compiled]: seal-time op-tape compilation (levelize → SoA flatten →
-    tape emit), allocation-free settle — see {!Tape}. *)
+    [`Compiled]: the [`Event] dirty set walked in an order levelized at
+    seal time (one calibration pass + Kahn's algorithm). *)
 
 type stats = {
   cycles : int;
@@ -98,8 +101,8 @@ type stats = {
     The [_ns] fields are build-phase wall-clock accounting, distinct from
     settle time: [elaborate_ns] is the design construction cost stamped by
     the host ({!note_elaborate_ns}), [seal_ns] the registration-snapshot /
-    listener-wiring cost, [compile_ns] the op-tape compilation cost (only
-    under [`Compiled]). A cache replay reports [elaborate_ns = 0] — the
+    listener-wiring cost, [compile_ns] the calibration + levelization cost
+    (only under [`Compiled]). A cache replay reports [elaborate_ns = 0] — the
     amortized phase — which is what makes cache wins measurable rather
     than inferred. *)
 
@@ -219,9 +222,10 @@ val note_elaborate_ns : t -> int64 -> unit
     called by the host that timed the build. *)
 
 val now_ns : unit -> int64
-(** The wall clock used for build-phase accounting (nanoseconds; coarse
-    microsecond resolution). Exposed so hosts time elaboration with the
-    same clock seal/compile are timed with. *)
+(** [CLOCK_MONOTONIC] in nanoseconds (a C stub; allocation-free in native
+    code). Used for build-phase accounting and exposed so hosts, the fuzz
+    harness and the daemon time everything with one clock that never steps
+    backwards. *)
 
 (** {1 Instance reset (design-cache replay)}
 
@@ -232,9 +236,8 @@ val now_ns : unit -> int64
     ({!Component.make}) and kernel-level {!at_reset} hooks. The caller
     restores signal values and observability state around it. The kernel is
     left unsealed, so the first replay cycle re-seals — re-interning check
-    ids and recompiling the tape under [`Compiled] — exactly the sequence a
-    fresh build executes; replay outputs are bit-identical to a fresh
-    host's. *)
+    ids and re-levelizing under [`Compiled] — exactly the sequence a fresh
+    build executes; replay outputs are bit-identical to a fresh host's. *)
 
 val reset : ?sched:sched -> t -> unit
 (** Rewind to the end-of-elaboration state; [sched] re-targets the kernel
@@ -244,17 +247,3 @@ val at_reset : t -> (unit -> unit) -> unit
 (** Register a design-level reset action (run after every component's own
     [reset], in registration order): cover watchers, FIFO memories,
     connect-time side effects a replay must reproduce. *)
-
-val set_seal_hook : t -> (unit -> unit) option -> unit
-(** Install a one-shot callback invoked right after the next seal completes
-    (cleared before it runs). The design cache uses it to capture the
-    freshly compiled tape and calibrated signal state. *)
-
-val tape : t -> Tape.t option
-(** The compiled op-tape, present while sealed under [`Compiled]. *)
-
-val adopt_tape : t -> Tape.t -> unit
-(** Compiled replay fast path: after {!reset} [~sched:`Compiled] and a
-    {!Tape.restore}, mark the kernel sealed with [tape] instead of letting
-    the first cycle recompile. Only valid when nothing was registered since
-    the seal that produced [tape]. *)

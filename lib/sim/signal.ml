@@ -3,9 +3,6 @@ open Splice_obs
 
 type t = {
   name : string;
-  uid : int;
-      (* domain-unique id, never reused and never reset (unlike the default
-         [sigN] name counter) — the compiled tape keys its slot table on it *)
   width : int;
   mask : int;
       (* [(1 lsl width) - 1] below 63 bits, all ones from 63 bits up: every
@@ -19,7 +16,8 @@ type t = {
          for narrower signals, never read *)
   mutable listeners : (unit -> unit) list;
       (* fan-out: fired (in registration order is irrelevant — they only mark
-         components dirty) whenever the value actually changes *)
+         components dirty) whenever the value actually changes; the event
+         and compiled schedulers' only source of dirtiness *)
   mutable commit_stamp : int;
       (* generation stamp of the last [commit_pending] epoch that wrote this
          signal; gives O(1) last-write-wins during the commit scan *)
@@ -27,11 +25,6 @@ type t = {
   mutable rec_id : int;
       (* cached flight-recorder intern id, valid while rec_stamp matches the
          attached recorder's stamp — a recorded transition never hashes *)
-  mutable tape_stamp : int;
-  mutable tape_slot : int;
-      (* cached compiled-tape slot (same idiom): valid while tape_stamp
-         matches the settling tape's stamp, so the tape's touch hook never
-         hashes in the steady state *)
   mutable owner : int;
       (* id of the kernel whose design this signal belongs to (0 = none);
          stamped by the host at build time so pending-write cleanup after
@@ -45,7 +38,6 @@ let narrow_zero = Bits.zero 1
 let dummy =
   {
     name = "";
-    uid = 0;
     width = 1;
     mask = 1;
     v = 0;
@@ -54,8 +46,6 @@ let dummy =
     commit_stamp = 0;
     rec_stamp = 0;
     rec_id = -1;
-    tape_stamp = 0;
-    tape_slot = -1;
     owner = 0;
   }
 
@@ -93,17 +83,10 @@ type store = {
       (* the queue being applied by [commit_pending] is swapped out for this
          (empty) one first, so an apply that raises leaves nothing queued *)
   mutable counter : int;
-  mutable uid_counter : int;
-      (* unlike [counter] this one is never reset: uids stay unique for the
-         lifetime of the domain, even across [reset_names] *)
   mutable commit_epoch : int;
   mutable s_recorder : Recorder.t option;
       (* the cycling kernel's flight recorder (re-attached every cycle);
          every actual value change in this domain is recorded into it *)
-  mutable s_touch : (t -> unit) option;
-      (* the settling compiled tape's write hook (installed only for the
-         duration of a settle): fired on every actual value change so the
-         tape can mark reader components dirty without per-signal listeners *)
   mutable s_created : t list option;
       (* when [Some], [create] conses every new signal here (newest first) —
          the host's build-time recording window (see [record_created]) *)
@@ -116,10 +99,8 @@ let store_key : store Domain.DLS.key =
         pending = make_queue ();
         spare = make_queue ();
         counter = 0;
-        uid_counter = 0;
         commit_epoch = 0;
         s_recorder = None;
-        s_touch = None;
         s_created = None;
       })
 
@@ -129,14 +110,12 @@ let create ?name width =
   if width < 1 || width > Bits.max_width then raise (Bits.Invalid_width width);
   let st = store () in
   st.counter <- st.counter + 1;
-  st.uid_counter <- st.uid_counter + 1;
   let name =
     match name with Some n -> n | None -> Printf.sprintf "sig%d" st.counter
   in
   let s =
     {
       name;
-      uid = st.uid_counter;
       width;
       mask = (if width >= 63 then -1 else (1 lsl width) - 1);
       v = 0;
@@ -145,8 +124,6 @@ let create ?name width =
       commit_stamp = 0;
       rec_stamp = 0;
       rec_id = -1;
-      tape_stamp = 0;
-      tape_slot = -1;
       owner = 0;
     }
   in
@@ -161,7 +138,6 @@ let is_wide t = t.width > 63
 let low_bits b = Int64.to_int (Bits.to_int64 b)
 
 let name t = t.name
-let uid t = t.uid
 let width t = t.width
 let get t = if is_wide t then t.wide else Bits.of_int ~width:t.width t.v
 let get_raw t = t.v
@@ -179,13 +155,6 @@ let holds t b =
 let on_change t f = t.listeners <- f :: t.listeners
 
 let attach_recorder r = (store ()).s_recorder <- r
-let set_touch h = (store ()).s_touch <- h
-let tape_stamp t = t.tape_stamp
-let tape_slot t = t.tape_slot
-
-let cache_tape_slot t ~stamp ~slot =
-  t.tape_stamp <- stamp;
-  t.tape_slot <- slot
 
 (* cold only on the first transition per (signal, recorder) pair *)
 let record_change r t =
@@ -207,13 +176,12 @@ let rec fire = function
       f ();
       fire fs
 
-(* an actual change just became visible: count it, record it, touch the
-   settling tape, then fan out *)
+(* an actual change just became visible: count it, record it, then fan
+   out *)
 let changed t =
   let st = store () in
   st.changes <- st.changes + 1;
   (match st.s_recorder with None -> () | Some r -> record_change r t);
-  (match st.s_touch with None -> () | Some h -> h t);
   fire t.listeners
 
 (* [v] already masked; narrow signals only *)

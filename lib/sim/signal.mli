@@ -33,11 +33,6 @@ val create : ?name:string -> int -> t
 
 val name : t -> string
 
-val uid : t -> int
-(** Domain-unique id, assigned at creation and never reused. Unlike the
-    default-name counter it is not affected by {!reset_names}, so it is a
-    safe hash key for side tables (the compiled scheduler's slot map). *)
-
 val width : t -> int
 
 val get : t -> Bits.t
@@ -55,7 +50,7 @@ val get_raw : t -> int
 (** The stored low 63 bits as an immediate [int], never raising: for widths
     ≤ 63 an injective image of the value (negative when bit 62 of a 63-bit
     value is set); for 64-bit signals the top bit is dropped. This is the
-    flight recorder's value and the compiled tape's snapshot key. *)
+    flight recorder's value. *)
 
 val holds : t -> Bits.t -> bool
 (** [holds s b] is [Bits.equal (get s) b] without building a [Bits.t]. *)
@@ -96,8 +91,10 @@ val on_change : t -> (unit -> unit) -> unit
 (** [on_change s f] subscribes [f] to the signal's fan-out list: it fires
     whenever the signal's value actually changes (immediately after the new
     value becomes visible), whether via {!set} or a {!commit_pending}. The
-    event-driven kernel uses this to mark reader components dirty; listeners
-    must be cheap, must not drive signals, and cannot be removed. *)
+    [`Event] and [`Compiled] kernel schedulers use this to mark reader
+    components dirty (and [`Compiled] to discover writer→reader edges at
+    seal time); listeners must be cheap, must not drive signals, and cannot
+    be removed. *)
 
 val attach_recorder : Splice_obs.Recorder.t option -> unit
 (** Point the domain-local signal store at a flight recorder (or detach
@@ -107,23 +104,6 @@ val attach_recorder : Splice_obs.Recorder.t option -> unit
     recorder at the start of every cycle, so interleaved kernels in one
     domain never record into each other's rings. Intern ids are cached on
     the signal (keyed by the recorder's stamp): recording never hashes. *)
-
-val set_touch : (t -> unit) option -> unit
-(** Install (or with [None] remove) the domain-local write hook: it fires on
-    every {e actual} value change, after the recorder but before the fan-out
-    listeners. The compiled scheduler installs it only for the duration of a
-    settle to maintain its dirty bitset; at most one hook is active per
-    domain, and installers must remove it on every exit path. *)
-
-val tape_stamp : t -> int
-val tape_slot : t -> int
-
-val cache_tape_slot : t -> stamp:int -> slot:int -> unit
-(** Tape-owned slot cache (the {!Splice_obs.Recorder} intern-id idiom):
-    {!tape_slot} is valid while {!tape_stamp} equals the asking tape's
-    stamp, so the settle-time write hook resolves signal → slot with two
-    field reads instead of a hash lookup. [-1] encodes "no tape component
-    reads this signal". *)
 
 val commit_pending : unit -> unit
 (** Apply all queued {!set_next} writes, newest first (so the last write

@@ -205,14 +205,16 @@ let replay_tests =
           let warm, hit0 = acquire () in
           check_bool "first acquire is a miss" false hit0;
           ignore (observe warm);
-          (* first replay: plain reset (compiled: captures the tape) *)
+          (* first replay: reset, then the first cycle re-seals (and under
+             `Compiled re-calibrates and re-levelizes) *)
           let h1, hit1 = acquire () in
           check_bool "second acquire is a hit" true hit1;
           check_observation "replay 1" fresh (observe h1);
-          (* second replay: under `Compiled this exercises the adopted-tape
-             fast path (snapshot restore instead of recompilation); the VCD
-             of this replayed run must match the fresh build's byte for
-             byte *)
+          (* second replay: the same reset -> re-seal path again, now from
+             a kernel whose listeners are already registered — nothing may
+             carry over from the previous run's dirty set or order; the
+             VCD of this replayed run must match the fresh build's byte
+             for byte *)
           let h2, hit2 = acquire () in
           check_bool "third acquire is a hit" true hit2;
           check_observation "replay 2" fresh (observe ~vcd:true h2)))

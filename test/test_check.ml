@@ -165,9 +165,10 @@ let diff_tests =
     t "compiled scheduler matches the oracles bit-for-bit at -j 1 and -j 4"
       (fun () ->
         (* every (spec, bus) cell of the fixed corpus runs under event,
-           sweep and the compiled op-tape; [exec_bus] raises on any
-           per-call cycle-count disagreement and the golden model on any
-           data difference, so a clean report IS the bit-for-bit property.
+           sweep and the levelized compiled scheduler; [exec_bus] raises on
+           any per-call cycle-count disagreement and the golden model on
+           any data difference, so a clean report IS the bit-for-bit
+           property.
            The digest folds every per-call cycle count under every
            scheduler, and must be identical with and without a pool. *)
         let config =

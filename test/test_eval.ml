@@ -154,7 +154,7 @@ let ablation_tests =
               (p.Experiment.Scheduler.evals_event
               < p.Experiment.Scheduler.evals_sweep);
             check_bool
-              (p.Experiment.Scheduler.label ^ ": tape no worse than sweep")
+              (p.Experiment.Scheduler.label ^ ": compiled no worse than sweep")
               true
               (p.Experiment.Scheduler.evals_compiled
               < p.Experiment.Scheduler.evals_sweep))

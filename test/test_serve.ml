@@ -85,6 +85,39 @@ let direct_digest ~seed ~count =
   let r = Diff.run { Diff.default_config with seed; count } in
   Printf.sprintf "0x%016Lx" r.Diff.r_digest
 
+(* Send [line] over a fresh raw connection in writes of [step] bytes and
+   return the reply line, parsed, without the fields that differ between
+   two requests with the same content (serial and timings). *)
+let raw_request port ~step line =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
+      let n = String.length line in
+      let rec send off =
+        if off < n then begin
+          let len = min step (n - off) in
+          let w = Unix.write_substring fd line off len in
+          send (off + w)
+        end
+      in
+      send 0;
+      let reply = Buffer.create 256 and b = Bytes.create 1 in
+      let rec recv () =
+        if Unix.read fd b 0 1 = 1 && Bytes.get b 0 <> '\n' then begin
+          Buffer.add_bytes reply b;
+          recv ()
+        end
+      in
+      recv ();
+      match Json.of_string (Buffer.contents reply) with
+      | Ok (Json.Obj fields) ->
+          Json.Obj
+            (List.filter (fun (k, _) -> k <> "req" && k <> "spans") fields)
+      | _ -> Alcotest.failf "unparseable reply %S" (Buffer.contents reply))
+
 (* ---- protocol + exposition units ------------------------------------ *)
 
 let protocol_tests =
@@ -243,6 +276,35 @@ let server_tests =
                 check_string "oversized outcome" "rejected" (str_of r "outcome");
                 check_bool "oversized reason" true
                   (String.length (str_of r "error") > 0))));
+    t "serve: a request sent one byte per write gets the single-write reply"
+      (fun () ->
+        (* the line reader reassembles a request from arbitrarily small
+           reads, strips the CR of a CRLF ending, and keeps a pipelined
+           second request intact *)
+        let spec =
+          "{\"kind\":\"spec\",\"id\":5,\"source\":\"%device_name d\\n\
+           %bus_type plb\\n%bus_width 32\\n%base_address \
+           0x80000000\\nint add2(int x, int y);\"}"
+        in
+        with_server Serve.default_config (fun _srv port ->
+            let whole = raw_request port ~step:max_int (spec ^ "\r\n") in
+            check_bool "single write ok" true (ok_of whole);
+            let bytewise = raw_request port ~step:1 (spec ^ "\r\n") in
+            check_string "same reply" (Json.to_string whole)
+              (Json.to_string bytewise);
+            with_conn port (fun c ->
+                Serve_client.send_line c
+                  "{\"kind\":\"ping\",\"id\":1}\r\n{\"kind\":\"ping\",\"id\":2}";
+                List.iter
+                  (fun id ->
+                    match Serve_client.recv_line c with
+                    | Ok line ->
+                        check_bool
+                          (Printf.sprintf "pipelined ping %d answered" id)
+                          true
+                          (is_infix ~affix:(Printf.sprintf "\"id\":%d" id) line)
+                    | Error e -> Alcotest.failf "no reply to ping %d: %s" id e)
+                  [ 1; 2 ])));
     t "serve: spec requests validate, reject and report" (fun () ->
         with_server Serve.default_config (fun _srv port ->
             with_conn port (fun c ->

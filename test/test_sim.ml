@@ -254,6 +254,33 @@ let storage_tests =
         Alcotest.(check (list string)) "apply order" [ "b"; "c" ] (List.rev !fired));
   ]
 
+(* regression: the sticky [registered] flag made a second kernel skip
+   listener registration for a reused component — source changes then
+   marked the dead kernel's dirty counter and the new kernel never
+   re-evaluated the component. Both fan-out schedulers ([`Event] and
+   [`Compiled]) rely on the generation guard, including when a component
+   moves from a kernel under one to a kernel under the other. The second
+   source change lands between cycles, so only the second kernel's
+   listener can mark the component. *)
+let reregisters first second =
+  let src = Signal.create 8 and out = Signal.create 8 in
+  let c =
+    Component.make ~reads:[ src ]
+      ~comb:(fun () -> Signal.set out (Signal.get src))
+      "copy"
+  in
+  let k1 = Kernel.create ~sched:first () in
+  Kernel.add k1 c;
+  Signal.set_int src 3;
+  Kernel.cycle k1;
+  check_int "first kernel propagates" 3 (Signal.get_int out);
+  let k2 = Kernel.create ~sched:second () in
+  Kernel.add k2 c;
+  Kernel.cycle k2;
+  Signal.set_int src 9;
+  Kernel.cycle k2;
+  check_int "re-created kernel still propagates" 9 (Signal.get_int out)
+
 let kernel_tests =
   [
     t "seq sees pre-edge values (register semantics)" (fun () ->
@@ -328,27 +355,23 @@ let kernel_tests =
         Kernel.run k 3;
         Alcotest.(check (list int)) "hooks" [ 3; 2; 1 ] !hits);
     t "a component reused by a re-created kernel re-registers" (fun () ->
-        (* regression: the sticky [registered] flag made a second kernel
-           skip listener registration for a reused component — source
-           changes then marked the dead kernel's dirty counter and the new
-           kernel never re-evaluated the component *)
-        let src = Signal.create 8 and out = Signal.create 8 in
-        let c =
-          Component.make ~reads:[ src ]
-            ~comb:(fun () -> Signal.set out (Signal.get src))
-            "copy"
-        in
-        let k1 = Kernel.create () in
-        Kernel.add k1 c;
-        Signal.set_int src 3;
-        Kernel.cycle k1;
-        check_int "first kernel propagates" 3 (Signal.get_int out);
-        let k2 = Kernel.create () in
-        Kernel.add k2 c;
-        Kernel.cycle k2;
-        Signal.set_int src 9;
-        Kernel.cycle k2;
-        check_int "re-created kernel still propagates" 9 (Signal.get_int out));
+        reregisters `Event `Event);
+    t "a component reused by a re-created kernel re-registers (compiled)"
+      (fun () -> reregisters `Compiled `Compiled);
+    t "a component reused by a re-created kernel re-registers (event to \
+       compiled)" (fun () -> reregisters `Event `Compiled);
+    t "now_ns never decreases over 100k successive reads" (fun () ->
+        (* CLOCK_MONOTONIC: build-phase times and daemon latencies are
+           differences of these readings, so a step back would make them
+           negative *)
+        let prev = ref (Kernel.now_ns ()) and backwards = ref 0 in
+        for _ = 1 to 100_000 do
+          let now = Kernel.now_ns () in
+          if Int64.compare now !prev < 0 then incr backwards;
+          prev := now
+        done;
+        check_int "backward steps" 0 !backwards;
+        check_bool "positive" true (Int64.compare !prev 0L > 0));
   ]
 
 let scheduler_tests =
@@ -379,9 +402,10 @@ let scheduler_tests =
         Signal.set_int src 4;
         Kernel.cycle k;
         check_int "re-propagated" 4 (Signal.get_int w2));
-    t "compiled tape propagates through a chain" (fun () ->
+    t "compiled scheduler propagates through a chain" (fun () ->
         (* the second set happens between cycles, with no settle running —
-           the tape's snapshot scan must pick it up without any listener *)
+           the fan-out listener must mark the reader, and the levelized
+           order must carry the change down the reversed chain *)
         let src, w2, k = chain `Compiled in
         Signal.set_int src 9;
         Kernel.cycle k;
@@ -406,7 +430,7 @@ let scheduler_tests =
           true
           (evals_event < evals_sweep);
         check_bool
-          (Printf.sprintf "tape no worse (%d <= %d)" evals_compiled
+          (Printf.sprintf "levelized no worse (%d <= %d)" evals_compiled
              evals_event)
           true
           (evals_compiled <= evals_event));
@@ -415,8 +439,8 @@ let scheduler_tests =
            report a minimum of one pass per settle (i + 1 on convergence)
            while event could report 0 — now every scheduler counts passes
            that changed at least one signal. On the reversed 2-level chain
-           the first cycle needs 2 in-order passes interpreted (the
-           levelized tape needs 1), and a quiescent cycle counts 0 for all
+           the first cycle needs 2 passes in registration order (the
+           levelized order needs 1), and a quiescent cycle counts 0 for all
            three. *)
         let counts sched =
           let src, _, k = chain sched in
@@ -454,9 +478,10 @@ let scheduler_tests =
             check_int "gave up at the limit" 8 iterations);
         Signal.clear_pending ());
     t "comb divergence detected under the compiled scheduler" (fun () ->
-        (* same self-loop: the tape's reader mask re-marks the oscillator
-           on every write, and the divergence guard counts executed passes
-           exactly like the interpreted schedulers *)
+        (* same self-loop: the oscillator's own fan-out listener re-marks
+           it on every write (calibration drops the self-edge, so it is
+           levelized like any other node), and the divergence guard counts
+           executed passes exactly like the registration-order schedulers *)
         let s = Signal.create 8 in
         let k = Kernel.create ~max_comb_iters:8 ~sched:`Compiled () in
         Kernel.add k
@@ -485,8 +510,8 @@ let scheduler_tests =
         check_int "tracks state" 2 (Signal.get_int out));
     t "edge-sensitive components re-arm under the compiled scheduler"
       (fun () ->
-        (* no input signal ever changes, so nothing marks the tape dirty —
-           only the edge mask ORed in at every settle keeps the component
+        (* no input signal ever changes, so no listener ever marks it dirty
+           — only the edge re-arm at every settle keeps the component
            tracking its internal state *)
         let out = Signal.create 8 in
         let count = ref 0 in
@@ -498,6 +523,28 @@ let scheduler_tests =
              "edge");
         Kernel.run k 3;
         check_int "tracks state" 2 (Signal.get_int out));
+    t "compiled scheduler re-levelizes after a mid-run registration"
+      (fun () ->
+        (* registering a reader after the first seal unseals the kernel;
+           the next seal re-calibrates and re-orders (w1, w2, w3), so the
+           new source value reaches the end of the chain in one productive
+           pass, where registration order needs two *)
+        let run sched =
+          let src, w2, k = chain sched in
+          Signal.set_int src 5;
+          Kernel.run k 2;
+          let w3 = Signal.create 8 in
+          Kernel.add k
+            (Component.make ~reads:[ w2 ]
+               ~comb:(fun () -> Signal.set_int w3 (Signal.get_int w2 + 1))
+               "w3");
+          Signal.set_int src 7;
+          let before = (Kernel.stats k).Kernel.comb_iters in
+          Kernel.cycle k;
+          (Signal.get_int w3, (Kernel.stats k).Kernel.comb_iters - before)
+        in
+        Alcotest.(check (pair int int)) "event" (8, 2) (run `Event);
+        Alcotest.(check (pair int int)) "compiled" (8, 1) (run `Compiled));
   ]
 
 let wave_tests =
