@@ -366,17 +366,7 @@ let fuzz_cmd =
   in
   let sched =
     Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("all", `All);
-               ("both", `Both);
-               ("event", `Event);
-               ("sweep", `Sweep);
-               ("compiled", `Compiled);
-             ])
-          `All
+      value & opt string "all"
       & info [ "sched" ] ~docv:"SCHED"
           ~doc:
             "Kernel scheduler(s): $(b,event), $(b,sweep), $(b,compiled), \
@@ -433,18 +423,9 @@ let fuzz_cmd =
              experiment E17.")
   in
   let clock_ratio =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ a; b ] -> (
-          match (int_of_string_opt a, int_of_string_opt b) with
-          | Some a, Some b when a >= 1 && b >= 1 -> Ok (a, b)
-          | _ -> Error (`Msg (Printf.sprintf "bad clock ratio %S (want A:B, both >= 1)" s)))
-      | _ -> Error (`Msg (Printf.sprintf "bad clock ratio %S (want A:B)" s))
-    in
-    let print fmt (a, b) = Format.fprintf fmt "%d:%d" a b in
     Arg.(
       value
-      & opt (some (conv (parse, print))) None
+      & opt (some string) None
       & info [ "clock-ratio" ] ~docv:"A:B"
           ~doc:
             "Pin the ACLK:PCLK clock-frequency ratio of CDC buses (axi) \
@@ -473,17 +454,8 @@ let fuzz_cmd =
              this flag exists for timing comparisons and for CI's \
              determinism cross-check.")
   in
-  let cache_size =
-    Arg.(
-      value
-      & opt int Splice.Design_cache.default_size
-      & info [ "cache-size" ] ~docv:"N"
-          ~doc:
-            "Per-domain design-cache capacity in elaborated designs (LRU \
-             eviction).")
-  in
   let run seed count bus sched quiet jobs json record cover no_guide
-      clock_ratio fifo_depth no_cache cache_size =
+      clock_ratio fifo_depth no_cache =
     let seed =
       match seed with
       | Some s -> s
@@ -491,45 +463,28 @@ let fuzz_cmd =
           Random.self_init ();
           Random.bits ()
     in
-    let buses =
-      match bus with
-      | None -> []
-      | Some b when Splice.Registry.find b <> None -> [ b ]
-      | Some b ->
-          Printf.eprintf "unknown bus %S (see `splice buses`)\n" b;
-          exit 2
+    let fail e =
+      prerr_endline e;
+      exit 2
     in
-    let scheds =
-      match sched with
-      | `All -> [ `Event; `Sweep; `Compiled ]
-      | `Both -> [ `Event; `Sweep ]
-      | (`Event | `Sweep | `Compiled) as s -> [ s ]
-    in
+    let get = function Ok v -> v | Error e -> fail e in
     let config =
       {
         Splice.Diff.default_config with
         seed;
         count;
-        buses;
-        scheds;
+        buses = Option.to_list bus;
+        scheds = get (Splice.Diff.scheds_of_string sched);
         cover = cover <> None;
         guide = cover <> None && not no_guide;
-        ratio = clock_ratio;
+        ratio =
+          Option.map (fun r -> get (Splice.Diff.ratio_of_string r)) clock_ratio;
         depth = fifo_depth;
         cache = not no_cache;
-        cache_size;
       }
     in
-    (match cache_size with
-    | n when n < 1 ->
-        Printf.eprintf "bad --cache-size %d (want >= 1)\n" n;
-        exit 2
-    | _ -> ());
-    (match fifo_depth with
-    | Some d when d < 2 || d > 64 || d land (d - 1) <> 0 ->
-        Printf.eprintf "bad --fifo-depth %d (want a power of two in 2..64)\n" d;
-        exit 2
-    | _ -> ());
+    get (Splice.Diff.check config);
+    let { Splice.Diff.buses; scheds; _ } = config in
     Printf.printf "splice fuzz: seed=%d count=%d buses=%s scheds=%s jobs=%d\n%!"
       seed count
       (String.concat ","
@@ -591,7 +546,6 @@ let fuzz_cmd =
                     Obj
                       [
                         ("enabled", Bool config.Splice.Diff.cache);
-                        ("size", Int config.Splice.Diff.cache_size);
                         ("hits", Int report.Splice.Diff.r_cache_hits);
                         ("misses", Int report.Splice.Diff.r_cache_misses);
                       ] );
@@ -683,7 +637,7 @@ let fuzz_cmd =
           on failure.")
     Term.(
       const run $ seed $ count $ bus $ sched $ quiet $ jobs_arg $ json $ record
-      $ cover $ no_guide $ clock_ratio $ fifo_depth $ no_cache $ cache_size)
+      $ cover $ no_guide $ clock_ratio $ fifo_depth $ no_cache)
 
 let trace_cmd =
   (* [some string], not [some file]: a missing path must reach [Query.load]

@@ -152,11 +152,13 @@ let acquire (t : t) ~key ~(sched : Kernel.sched) ~build =
 (* Per-domain ambient cache                                            *)
 (* ------------------------------------------------------------------ *)
 
-type config = { enabled : bool; size : int }
+type config = { enabled : bool }
 
-let default_size = 32
-let default_config = { enabled = true; size = default_size }
-let disabled = { enabled = false; size = 0 }
+let default_config = { enabled = true }
+let disabled = { enabled = false }
+
+(* LRU capacity of each domain's cache, in elaborated designs *)
+let domain_capacity = 32
 
 let slot : t option ref Dls.t = Dls.make (fun () -> ref None)
 
@@ -164,14 +166,8 @@ let domain_cache cfg =
   if not cfg.enabled then None
   else begin
     let r = Dls.get slot in
-    match !r with
-    | Some c when c.capacity = cfg.size -> Some c
-    | _ ->
-        (* first use in this domain, or a size change between runs in the
-           caller domain (workers die with their pool): start fresh *)
-        let c = create ~capacity:(max 1 cfg.size) in
-        r := Some c;
-        Some c
+    if Option.is_none !r then r := Some (create ~capacity:domain_capacity);
+    !r
   end
 
 let with_cache cfg ~key ~sched ~build =

@@ -67,19 +67,15 @@ val capacity : t -> int
     its own cache in a [Splice_par.Dls] slot, so no state is shared across
     domains and worker caches die with the pool. *)
 
-type config = { enabled : bool; size : int }
-
-val default_size : int
-(** 32 entries. *)
+type config = { enabled : bool }
 
 val default_config : config
-(** Enabled at {!default_size}. *)
+(** Enabled; each domain's cache holds 32 entries. *)
 
 val disabled : config
 
 val domain_cache : config -> t option
-(** This domain's cache (created on first use; recreated when [size]
-    changed between runs in a persistent domain), or [None] when
+(** This domain's cache (created on first use), or [None] when
     disabled. *)
 
 val with_cache :

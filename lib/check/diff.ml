@@ -12,12 +12,9 @@ type config = {
   max_cycles : int;
   cover : bool;
   guide : bool;
-  guide_candidates : int;
-  guide_batch : int;
   ratio : (int * int) option;
   depth : int option;
   cache : bool;
-  cache_size : int;
 }
 
 let default_config =
@@ -29,13 +26,17 @@ let default_config =
     max_cycles = 20_000;
     cover = false;
     guide = false;
-    guide_candidates = 8;
-    guide_batch = 10;
     ratio = None;
     depth = None;
     cache = true;
-    cache_size = Splice_cache.Design_cache.default_size;
   }
+
+(* A guided iteration screens [seed_candidates] derived seeds. Coverage
+   runs refresh the hole set (and record one trajectory sample) every
+   [cover_batch] iterations, independent of the pool's chunking, so
+   guided runs are [-j]-invariant. *)
+let seed_candidates = 8
+let cover_batch = 10
 
 type failure = {
   f_iteration : int;
@@ -86,6 +87,35 @@ let sched_name = function
   | `Event -> "event"
   | `Sweep -> "sweep"
   | `Compiled -> "compiled"
+
+let scheds_of_string = function
+  | "all" -> Ok [ `Event; `Sweep; `Compiled ]
+  | "both" -> Ok [ `Event; `Sweep ]
+  | "event" -> Ok [ `Event ]
+  | "sweep" -> Ok [ `Sweep ]
+  | "compiled" -> Ok [ `Compiled ]
+  | s ->
+      Error
+        (Printf.sprintf
+           "unknown sched %S (want all, both, event, sweep or compiled)" s)
+
+let ratio_of_string s =
+  match String.split_on_char ':' s with
+  | [ a; b ] -> (
+      match (int_of_string_opt a, int_of_string_opt b) with
+      | Some a, Some b when a >= 1 && b >= 1 -> Ok (a, b)
+      | _ -> Error (Printf.sprintf "bad clock ratio %S (want A:B, both >= 1)" s))
+  | _ -> Error (Printf.sprintf "bad clock ratio %S (want A:B)" s)
+
+let check config =
+  match List.find_opt (fun b -> Registry.find b = None) config.buses with
+  | Some b -> Error (Printf.sprintf "unknown bus %S" b)
+  | None -> (
+      match config.depth with
+      | Some d when d < 2 || d > 64 || d land (d - 1) <> 0 ->
+          Error
+            (Printf.sprintf "bad fifo depth %d (want a power of two in 2..64)" d)
+      | _ -> Ok ())
 
 (* Per-iteration seeds come from splitmix64 seed-splitting of the root
    seed: every (spec, bus) task derives all of its randomness from
@@ -391,7 +421,7 @@ let shrink_failure ~max_cycles ~iseed ~bus ~scheds ~cache g =
 (* ---- coverage-guided seed scheduling -------------------------------
    Guidance never touches Specgen's distributions — that would break the
    [--seed S --count 1] repro contract. Instead each guided iteration
-   screens [guide_candidates] derived seeds, scores the static shape of
+   screens [seed_candidates] derived seeds, scores the static shape of
    the spec each one generates against the holes still open in the
    aggregate map, and runs the winner under its own seed. *)
 
@@ -506,19 +536,14 @@ let score ~taken nd (ft : Specgen.features) =
    a 0-worker pool) the map degenerates to [Array.map]: the exact
    sequential path. Shrinking always runs in the orchestrator's domain. *)
 let run ?(log = ignore) ?pool config =
+  Result.iter_error (fun e -> invalid_arg ("Diff.run: " ^ e)) (check config);
   let buses =
     match config.buses with [] -> Registry.names () | buses -> buses
   in
-  List.iter
-    (fun b ->
-      if Registry.find b = None then
-        failwith (Printf.sprintf "Diff.run: unknown bus %S" b))
-    buses;
   let nbuses = List.length buses in
   let buses_arr = Array.of_list buses in
   let cache_cfg =
-    if config.cache then
-      { Splice_cache.Design_cache.enabled = true; size = config.cache_size }
+    if config.cache then Splice_cache.Design_cache.default_config
     else Splice_cache.Design_cache.disabled
   in
   let map f arr =
@@ -566,22 +591,22 @@ let run ?(log = ignore) ?pool config =
      iterations, deliberately decoupled from [chunk_iters]: the pool's
      chunking varies with the worker count, the batch boundary must not. *)
   let batch =
-    if config.cover then max 1 config.guide_batch else config.count
+    if config.cover then cover_batch else config.count
   in
   let seeds_for lo hi =
     match agg with
-    | Some c when config.guide && config.guide_candidates > 1 ->
+    | Some c when config.guide ->
         let nd = needs_of c in
         let taken = Array.make n_need_families 0 in
         let out = Array.make (hi - lo) 0 in
         (* explicit loop, not Array.init: [taken] mutates per pick, so the
            selection order must be the iteration order *)
         for k = 0 to hi - lo - 1 do
-          let base = (lo + k) * config.guide_candidates in
+          let base = (lo + k) * seed_candidates in
           let best = ref (iteration_seed config.seed base) in
           let best_score = ref min_int in
           let best_contrib = ref [||] in
-          for j = 0 to config.guide_candidates - 1 do
+          for j = 0 to seed_candidates - 1 do
             let s = iteration_seed config.seed (base + j) in
             let g = Specgen.spec ~buses (Specgen.Rng.make s) in
             let ft = Specgen.features g in

@@ -33,18 +33,14 @@ type config = {
           cells in canonical order — byte-identical at any [-j] *)
   guide : bool;
       (** coverage-guided seed scheduling (needs [cover]): instead of
-          taking iteration [i]'s canonical seed, screen
-          [guide_candidates] derived seeds per iteration and run the one
+          taking iteration [i]'s canonical seed, screen 8 derived seeds
+          per iteration and run the one
           whose generated spec's {!Specgen.features} best target the
           aggregate map's open bins. The winner's seed is what failures
           report, so [splice fuzz --seed S --count 1] reproduces a
-          guided failure exactly like a random one. *)
-  guide_candidates : int;  (** candidate seeds screened per iteration *)
-  guide_batch : int;
-      (** iterations per guidance batch: the hole set refreshes (and one
-          trajectory sample is recorded) every [guide_batch] iterations,
-          independent of the pool's chunking, so guided runs are
-          [-j]-invariant *)
+          guided failure exactly like a random one. The hole set
+          refreshes every 10 iterations, independent of the pool's
+          chunking, so guided runs are [-j]-invariant. *)
   ratio : (int * int) option;
       (** pin the ACLK:PCLK clock ratio of CDC buses (axi) instead of
           letting each iteration draw one — the [--clock-ratio] flag *)
@@ -57,13 +53,25 @@ type config = {
           replay it outright. Hits rewind the design to its
           end-of-elaboration snapshot, so every report field except the
           hit/miss counters is byte-identical with the cache off. *)
-  cache_size : int;  (** per-domain LRU capacity (entries) *)
 }
 
 val default_config : config
 (** seed 0, count 50, all buses, all three schedulers, 20_000-cycle
-    watchdog; coverage off, guidance off (8 candidates, batches of 10 when
-    on); design cache on at {!Splice_cache.Design_cache.default_size}. *)
+    watchdog; coverage and guidance off; design cache on. *)
+
+val scheds_of_string : string -> (Kernel.sched list, string) result
+(** [all] (the default: event, sweep and compiled), [both] (event and
+    sweep), or one of [event], [sweep], [compiled] — the [--sched] flag
+    and the daemon's [sched] field. *)
+
+val ratio_of_string : string -> (int * int, string) result
+(** ["A:B"] with both sides >= 1 — the [--clock-ratio] flag and the
+    daemon's [ratio] field. *)
+
+val check : config -> (unit, string) result
+(** Rejects a config naming a bus missing from {!Splice_buses.Registry}
+    or pinning a FIFO depth that is not a power of two in 2..64, with a
+    one-line reason. *)
 
 type failure = {
   f_iteration : int;
@@ -102,7 +110,7 @@ type report = {
           [-j] (canonical-order merge, failure-prefix discipline) *)
   r_trajectory : (int * int * int) list;
       (** coverage closure per batch: (iterations completed, bins hit,
-          bins total), one sample per [guide_batch] iterations *)
+          bins total), one sample per 10 iterations *)
   r_cache_hits : int;
   r_cache_misses : int;
       (** summed per-cell deltas of the per-domain design caches. Like
@@ -122,7 +130,8 @@ type report = {
 }
 
 val run : ?log:(string -> unit) -> ?pool:Splice_par.Pool.t -> config -> report
-(** Stops at the first failure (in canonical (iteration, bus) order — the
+(** Raises [Invalid_argument] on a config that {!check} rejects. Stops at
+    the first failure (in canonical (iteration, bus) order — the
     same cell the sequential sweep would report). [log] receives one
     progress line per iteration. [pool] fans the independent (spec, bus)
     cells out over its domains; every field of the report, the shrunk

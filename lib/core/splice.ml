@@ -132,4 +132,4 @@ module Cycles = Splice_eval.Cycles
 module Experiment = Splice_eval.Experiment
 module Tables = Splice_eval.Tables
 
-let version = "1.0.0"
+let version = Splice_serve.Server.version

@@ -593,8 +593,9 @@ module Coverage = struct
     in
     let guided = mode true in
     let random = mode false in
-    (* both modes batch iterations identically (guide_batch is fixed), so
-       the two trajectories sample the same iteration boundaries *)
+    (* both modes batch iterations identically (Diff's coverage batch is
+       fixed), so the two trajectories sample the same iteration
+       boundaries *)
     List.map2
       (fun (it, gh, tot) (_, rh, _) ->
         { iterations = it; guided_hit = gh; random_hit = rh; total = tot })

@@ -1,34 +1,35 @@
+(* A queued task runs outside the lock and returns its publish step,
+   which the worker runs under the lock after counting itself idle again:
+   whoever a publish step wakes can never find that worker still busy. *)
 type t = {
   mutable workers : unit Domain.t array;
-  queue : (unit -> unit) Queue.t;
+  queue : (unit -> unit -> unit) Queue.t;
   mutex : Mutex.t;
   nonempty : Condition.t;
+  mutable busy : int;  (* workers running a task *)
   mutable stop : bool;
   mutable shut : bool;
 }
 
 let worker_loop t () =
+  Mutex.lock t.mutex;
   let rec loop () =
-    Mutex.lock t.mutex;
-    let rec take () =
-      match Queue.take_opt t.queue with
-      | Some task -> Some task
-      | None ->
-          if t.stop then None
-          else begin
-            Condition.wait t.nonempty t.mutex;
-            take ()
-          end
-    in
-    let task = take () in
-    Mutex.unlock t.mutex;
-    match task with
-    | None -> ()
+    match Queue.take_opt t.queue with
     | Some task ->
-        (* a task never lets an exception escape: map_ordered wraps its
-           closures, and submit documents the requirement — but a stray
-           raise must not kill the domain and deadlock a later map *)
-        (try task () with _ -> ());
+        t.busy <- t.busy + 1;
+        Mutex.unlock t.mutex;
+        (* a task never lets an exception escape: map_ordered and
+           try_submit wrap their closures, and submit documents the
+           requirement — but a stray raise must not kill the domain and
+           deadlock a later map *)
+        let publish = try task () with _ -> ignore in
+        Mutex.lock t.mutex;
+        t.busy <- t.busy - 1;
+        publish ();
+        loop ()
+    | None when t.stop -> Mutex.unlock t.mutex
+    | None ->
+        Condition.wait t.nonempty t.mutex;
         loop ()
   in
   loop ()
@@ -47,6 +48,7 @@ let create ?domains () =
       queue = Queue.create ();
       mutex = Mutex.create ();
       nonempty = Condition.create ();
+      busy = 0;
       stop = false;
       shut = false;
     }
@@ -62,7 +64,7 @@ let submit t task =
   if Array.length t.workers = 0 then
     invalid_arg "Pool.submit: sequential pool has no workers";
   Mutex.lock t.mutex;
-  Queue.add task t.queue;
+  Queue.add (fun () -> task (); ignore) t.queue;
   Condition.signal t.nonempty;
   Mutex.unlock t.mutex
 
@@ -74,20 +76,44 @@ let queued t =
 
 (* Bounded submission — the backpressure hook a long-running service
    needs: the decision and the enqueue happen under one lock, so the
-   queue can never exceed [limit] no matter how many threads race. *)
-let try_submit t ~limit task =
+   tasks waiting beyond the idle workers can never exceed [limit] no
+   matter how many threads race. *)
+let try_submit t ~limit f =
   if t.shut then invalid_arg "Pool.try_submit: pool is shut down";
   if Array.length t.workers = 0 then
     invalid_arg "Pool.try_submit: sequential pool has no workers";
   if limit < 0 then invalid_arg "Pool.try_submit: negative limit";
+  let result = ref None and filled = Condition.create () in
+  let task () =
+    let r =
+      match f () with
+      | v -> Ok v
+      | exception e -> Error (e, Printexc.get_raw_backtrace ())
+    in
+    fun () ->
+      result := Some r;
+      Condition.broadcast filled
+  in
   Mutex.lock t.mutex;
-  let accepted = Queue.length t.queue < limit in
+  let idle = Array.length t.workers - t.busy in
+  let accepted = Queue.length t.queue - idle < limit in
   if accepted then begin
     Queue.add task t.queue;
     Condition.signal t.nonempty
   end;
   Mutex.unlock t.mutex;
-  accepted
+  if not accepted then None
+  else
+    Some
+      (fun () ->
+        Mutex.lock t.mutex;
+        while Option.is_none !result do
+          Condition.wait filled t.mutex
+        done;
+        Mutex.unlock t.mutex;
+        match Option.get !result with
+        | Ok v -> v
+        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
 
 (* One map = one claim counter + one result slot per element. Workers (and
    the caller) claim indices atomically and run until the array is drained;

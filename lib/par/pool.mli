@@ -47,13 +47,18 @@ val queued : t -> int
     worker. A point-in-time reading; only bounds enforced by
     {!try_submit} are reliable. *)
 
-val try_submit : t -> limit:int -> (unit -> unit) -> bool
-(** Bounded {!submit}: enqueue and return [true] only when fewer than
-    [limit] tasks are already waiting — the check and the enqueue are one
-    atomic step, so the queue never exceeds [limit]. [false] means the
-    caller must shed load (reply "overloaded", retry later) rather than
-    buffer unboundedly. Raises like {!submit} on sequential or shut-down
-    pools, and [Invalid_argument] on a negative [limit]. *)
+val try_submit : t -> limit:int -> (unit -> 'a) -> (unit -> 'a) option
+(** Bounded {!submit}: enqueue [f] only when fewer than [limit] tasks
+    would wait beyond the idle workers (queued minus idle < [limit]) —
+    the check and the enqueue are one atomic step, so [~limit:0] runs a
+    task only when a worker is free for it. [None] means the caller must
+    shed load (reply "overloaded", retry later) rather than buffer
+    unboundedly. [Some await]: [await ()] blocks until a worker has run
+    [f] and returns its result (re-raising its exception); by then that
+    worker already counts as idle again, so a task submitted right after
+    [await] returns is never refused for it. Raises like {!submit} on
+    sequential or shut-down pools, and [Invalid_argument] on a negative
+    [limit]. *)
 
 val map_ordered : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_ordered p f arr]: [Array.map f arr], computed by [size p]

@@ -3,7 +3,9 @@
 
 open Splice_obs
 
-type conn = { fd : Unix.file_descr; mutable acc : string }
+module P = Protocol
+
+type conn = { fd : Unix.file_descr; r : P.reader }
 
 let connect ?(host = "127.0.0.1") ~port () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -11,38 +13,16 @@ let connect ?(host = "127.0.0.1") ~port () =
    with e ->
      Unix.close fd;
      raise e);
-  { fd; acc = "" }
+  { fd; r = P.reader fd }
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then go (off + Unix.write_substring fd s off (n - off))
-  in
-  go 0
-
-let send_line c line = write_all c.fd (line ^ "\n")
+let send_line c line = P.write_all c.fd (line ^ "\n")
 
 let recv_line ?(max = 1 lsl 24) c =
-  let rec go acc =
-    match String.index_opt acc '\n' with
-    | Some i ->
-        c.acc <- String.sub acc (i + 1) (String.length acc - i - 1);
-        let line = String.sub acc 0 i in
-        Ok
-          (if line <> "" && line.[String.length line - 1] = '\r' then
-             String.sub line 0 (String.length line - 1)
-           else line)
-    | None ->
-        if String.length acc > max then Error "reply line too long"
-        else
-          let buf = Bytes.create 4096 in
-          let n = try Unix.read c.fd buf 0 4096 with Unix.Unix_error _ -> 0 in
-          if n = 0 then Error "connection closed by server"
-          else go (acc ^ Bytes.sub_string buf 0 n)
-  in
-  go c.acc
+  match P.read_line c.r ~max_line:max with
+  | `Line line -> Ok line
+  | `Eof -> Error "connection closed by server"
+  | `Oversized -> Error "reply line too long"
 
 let request_line c line =
   send_line c line;
@@ -71,7 +51,7 @@ let http_get ?(host = "127.0.0.1") ~port path =
       Fun.protect
         ~finally:(fun () -> close c)
         (fun () ->
-          write_all c.fd
+          P.write_all c.fd
             (Printf.sprintf "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n"
                path host);
           let raw = recv_all c.fd in

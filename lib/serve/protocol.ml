@@ -1,25 +1,17 @@
 (* Wire protocol of the simulation service: one JSON object per line in,
    one JSON object per line out. Parsing is strict about what it accepts
    (unknown kinds and malformed fields are rejected with a one-line
-   diagnostic) and bounded by the server's line limit before it ever
-   reaches this module, so a hostile client can neither wedge the framing
-   nor make the daemon buffer unboundedly. *)
+   diagnostic) and bounded by the line limit of [read_line] before it
+   ever reaches the parser, so a hostile client can neither wedge the
+   framing nor make the daemon buffer unboundedly. A fuzz request is the
+   CLI's own [Diff.config], checked by the same [Diff.check]. *)
 
 open Splice_obs
 
 type request =
   | Spec of { source : string }
   | Eval
-  | Fuzz of {
-      seed : int;
-      count : int;
-      bus : string option;
-      scheds : Splice_sim.Kernel.sched list;
-      ratio : (int * int) option;
-      depth : int option;
-      cache : bool;
-      cache_size : int;
-    }
+  | Fuzz of Splice_check.Diff.config
   | Trace of { dump : string }
   | Sleep of { ms : int }
   | Ping
@@ -62,65 +54,46 @@ let int_field j name = Option.bind (Json.member name j) Json.to_int
 let bool_field j name =
   match Json.member name j with Some (Json.Bool b) -> Some b | _ -> None
 
-let parse_sched = function
-  | "all" -> Ok [ `Event; `Sweep; `Compiled ]
-  | "both" -> Ok [ `Event; `Sweep ]
-  | "event" -> Ok [ `Event ]
-  | "sweep" -> Ok [ `Sweep ]
-  | "compiled" -> Ok [ `Compiled ]
-  | s -> Error (Printf.sprintf "unknown sched %S" s)
-
-let parse_ratio s =
-  match String.split_on_char ':' s with
-  | [ a; b ] -> (
-      match (int_of_string_opt a, int_of_string_opt b) with
-      | Some a, Some b when a >= 1 && b >= 1 -> Ok (a, b)
-      | _ -> Error (Printf.sprintf "bad clock ratio %S (want A:B, both >= 1)" s))
-  | _ -> Error (Printf.sprintf "bad clock ratio %S (want A:B)" s)
-
 let parse_fuzz j =
+  let module Diff = Splice_check.Diff in
   let ( let* ) = Result.bind in
   let* seed =
     match int_field j "seed" with
     | Some s -> Ok s
     | None -> Error "fuzz: missing integer field \"seed\""
   in
-  let count = Option.value ~default:50 (int_field j "count") in
+  let count =
+    Option.value ~default:Diff.default_config.count (int_field j "count")
+  in
   let* () =
     if count >= 1 && count <= max_count then Ok ()
     else Error (Printf.sprintf "fuzz: count must be in 1..%d" max_count)
   in
-  let* bus =
-    match str_field j "bus" with
-    | None -> Ok None
-    | Some b when Splice_buses.Registry.find b <> None -> Ok (Some b)
-    | Some b -> Error (Printf.sprintf "unknown bus %S" b)
-  in
   let* scheds =
     match str_field j "sched" with
-    | None -> parse_sched "all"
-    | Some s -> parse_sched s
+    | None -> Ok Diff.default_config.scheds
+    | Some s -> Diff.scheds_of_string s
   in
   let* ratio =
     match str_field j "ratio" with
     | None -> Ok None
-    | Some r -> Result.map Option.some (parse_ratio r)
+    | Some r -> Result.map Option.some (Diff.ratio_of_string r)
   in
-  let* depth =
-    match int_field j "depth" with
-    | None -> Ok None
-    | Some d when d >= 2 && d <= 64 && d land (d - 1) = 0 -> Ok (Some d)
-    | Some d ->
-        Error (Printf.sprintf "bad fifo depth %d (want a power of two in 2..64)" d)
+  let cfg =
+    {
+      Diff.default_config with
+      seed;
+      count;
+      buses = Option.to_list (str_field j "bus");
+      scheds;
+      ratio;
+      depth = int_field j "depth";
+      cache =
+        Option.value ~default:Diff.default_config.cache (bool_field j "cache");
+    }
   in
-  let cache = Option.value ~default:true (bool_field j "cache") in
-  let cache_size =
-    Option.value
-      ~default:Splice_cache.Design_cache.default_size
-      (int_field j "cache_size")
-  in
-  let* () = if cache_size >= 1 then Ok () else Error "fuzz: cache_size must be >= 1" in
-  Ok (Fuzz { seed; count; bus; scheds; ratio; depth; cache; cache_size })
+  let* () = Diff.check cfg in
+  Ok (Fuzz cfg)
 
 let parse j =
   match j with
@@ -184,3 +157,68 @@ let reply ~req ?id ~kind ~outcome ?(fields = []) ?(spans = []) () =
     match spans with
     | [] -> []
     | spans -> [ ("spans", Json.List (List.map span_json spans)) ])
+
+(* ---- line framing (both ends of the socket) ----------------------- *)
+
+let write_all fd s =
+  let n = String.length s in
+  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
+  go 0
+
+(* Bytes read but not yet returned stay in [buf] from [start] on; [buf]
+   up to [scanned] is known to hold no newline. Every byte is appended,
+   scanned and (when a partial line is compacted to the front) copied at
+   most once, so a line costs time linear in its length up to
+   [max_line]. *)
+type reader = {
+  r_fd : Unix.file_descr;
+  chunk : Bytes.t;
+  buf : Buffer.t;
+  mutable start : int;
+  mutable scanned : int;
+}
+
+let reader fd =
+  {
+    r_fd = fd;
+    chunk = Bytes.create 4096;
+    buf = Buffer.create 4096;
+    start = 0;
+    scanned = 0;
+  }
+
+let rec read_line r ~max_line =
+  let len = Buffer.length r.buf in
+  let i = ref r.scanned in
+  while !i < len && Buffer.nth r.buf !i <> '\n' do
+    incr i
+  done;
+  if !i < len then begin
+    let nl = !i in
+    let stop =
+      if nl > r.start && Buffer.nth r.buf (nl - 1) = '\r' then nl - 1 else nl
+    in
+    let line = Buffer.sub r.buf r.start (stop - r.start) in
+    r.start <- nl + 1;
+    r.scanned <- nl + 1;
+    `Line line
+  end
+  else if len - r.start > max_line then `Oversized
+  else begin
+    if r.start > 0 then begin
+      let rest = Buffer.sub r.buf r.start (len - r.start) in
+      Buffer.clear r.buf;
+      Buffer.add_string r.buf rest;
+      r.start <- 0
+    end;
+    r.scanned <- Buffer.length r.buf;
+    let n =
+      try Unix.read r.r_fd r.chunk 0 (Bytes.length r.chunk)
+      with Unix.Unix_error _ -> 0
+    in
+    if n = 0 then `Eof
+    else begin
+      Buffer.add_subbytes r.buf r.chunk 0 n;
+      read_line r ~max_line
+    end
+  end

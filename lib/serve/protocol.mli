@@ -13,16 +13,11 @@
 type request =
   | Spec of { source : string }  (** parse + validate a specification *)
   | Eval  (** the Fig 9.2 grid; replies with rows and their digest *)
-  | Fuzz of {
-      seed : int;
-      count : int;
-      bus : string option;  (** [None] = every registered bus *)
-      scheds : Splice_sim.Kernel.sched list;
-      ratio : (int * int) option;
-      depth : int option;
-      cache : bool;
-      cache_size : int;
-    }  (** a differential fuzz run; failures carry the recorder dump *)
+  | Fuzz of Splice_check.Diff.config
+      (** a differential fuzz run — the [splice fuzz] config, read from
+          [seed], [count], [bus], [sched], [ratio], [depth] and [cache]
+          and checked by {!Splice_check.Diff.check}; failures carry the
+          recorder dump *)
   | Trace of { dump : string }  (** summarize a flight-recorder dump *)
   | Sleep of { ms : int }  (** occupies an executor — for drain tests *)
   | Ping
@@ -33,7 +28,8 @@ val kind_name : request -> string
 val kinds : string list
 
 val max_count : int
-(** Upper bound on [Fuzz.count] — the daemon is a shared resource. *)
+(** Upper bound on a fuzz request's [count] — the daemon is a shared
+    resource. *)
 
 type outcome = Ok_ | Rejected | Failed | Overloaded | Errored | Draining
 
@@ -62,3 +58,22 @@ val reply :
   ?spans:span list ->
   unit ->
   Splice_obs.Json.t
+
+(** {1 Line framing}
+
+    Both ends of the socket: the daemon reads requests and the client
+    reads replies with the same reader. *)
+
+val write_all : Unix.file_descr -> string -> unit
+
+type reader
+
+val reader : Unix.file_descr -> reader
+
+val read_line :
+  reader -> max_line:int -> [ `Line of string | `Eof | `Oversized ]
+(** The next line without its ['\n'] (and one trailing ['\r']), in time
+    linear in its length. [`Oversized] once more than [max_line] bytes
+    arrive without a newline. A clean EOF at a line boundary is [`Eof];
+    an EOF mid-line drops the partial line (the peer vanished) and is
+    [`Eof] too. *)

@@ -6,13 +6,12 @@
 
    Concurrency model. Connection I/O runs on systhreads (all on the main
    domain: blocking syscalls release the runtime lock, so reads never
-   starve each other). CPU-bound execution goes through
-   [Pool.try_submit] when the service has worker domains ([jobs > 1]);
-   excess load is shed with an `overloaded` reply rather than buffered —
-   the queue never exceeds [queue_limit]. With [jobs = 1] execution runs
-   inline on the connection thread, serialized by a dedicated mutex:
-   systhreads share the main domain's domain-local state (signal store,
-   design cache), so two inline simulations must never interleave.
+   starve each other). CPU-bound execution always goes through
+   [Pool.try_submit] to a pool of [max 1 jobs] worker domains; excess
+   load is shed with an `overloaded` reply rather than buffered — no
+   more than [queue_limit] requests ever wait beyond the idle workers.
+   Each worker runs one request at a time on its own domain-local state
+   (signal store, design cache).
 
    Determinism contract. One request is one self-contained task on one
    domain: fuzz requests run [Diff.run] without a nested pool, so the
@@ -25,7 +24,7 @@ open Splice_obs
 module P = Protocol
 module Pool = Splice_par.Pool
 
-let version = "1.0.0" (* keep in step with [Splice.version] *)
+let version = "1.0.0"
 
 type config = {
   host : string;
@@ -50,13 +49,11 @@ type t = {
   cfg : config;
   fd : Unix.file_descr;
   port : int;
-  pool : Pool.t option;  (* [None] when [jobs <= 1] *)
-  inline_lock : Mutex.t;  (* serializes inline (jobs=1) execution *)
+  pool : Pool.t;
   lock : Mutex.t;  (* guards every mutable field and both registries *)
   drained : Condition.t;
   mutable stopping : bool;
   mutable in_flight : int;
-  mutable inline_admitted : int;  (* inline requests running or waiting *)
   mutable next_req : int;
   mutable served : int;
   started : float;
@@ -68,28 +65,7 @@ type t = {
 (* the kernel's monotonic clock, as an int *)
 let now_ns () = Int64.to_int (Splice_sim.Kernel.now_ns ())
 
-(* ---- one-shot synchronization cell (pool task -> connection thread) *)
-
-type 'a ivar = { im : Mutex.t; ic : Condition.t; mutable iv : 'a option }
-
-let ivar () = { im = Mutex.create (); ic = Condition.create (); iv = None }
-
-let ivar_fill i x =
-  Mutex.lock i.im;
-  i.iv <- Some x;
-  Condition.signal i.ic;
-  Mutex.unlock i.im
-
-let ivar_wait i =
-  Mutex.lock i.im;
-  while match i.iv with None -> true | Some _ -> false do
-    Condition.wait i.ic i.im
-  done;
-  let x = match i.iv with Some x -> x | None -> assert false in
-  Mutex.unlock i.im;
-  x
-
-(* ---- request execution (worker domain or inline) ------------------- *)
+(* ---- request execution (on a worker domain) -------------------------- *)
 
 type exec = {
   x_outcome : P.outcome;
@@ -199,21 +175,8 @@ let exec_eval () =
     x_dump = None;
   }
 
-let exec_fuzz ~seed ~count ~bus ~scheds ~ratio ~depth ~cache ~cache_size =
+let exec_fuzz cfg =
   let open Splice_check in
-  let cfg =
-    {
-      Diff.default_config with
-      seed;
-      count;
-      buses = Option.to_list bus;
-      scheds;
-      ratio;
-      depth;
-      cache;
-      cache_size;
-    }
-  in
   let r = Diff.run cfg in
   let base =
     [
@@ -265,8 +228,7 @@ let exec_request (req : P.request) =
     match req with
     | P.Spec { source } -> exec_spec source
     | P.Eval -> exec_eval ()
-    | P.Fuzz { seed; count; bus; scheds; ratio; depth; cache; cache_size } ->
-        exec_fuzz ~seed ~count ~bus ~scheds ~ratio ~depth ~cache ~cache_size
+    | P.Fuzz cfg -> exec_fuzz cfg
     | P.Trace { dump } -> exec_trace dump
     | P.Sleep { ms } ->
         let t0 = now_ns () in
@@ -284,11 +246,6 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let fresh_req t = locked t (fun () -> t.next_req <- t.next_req + 1; t.next_req)
-
-let queue_depth t =
-  match t.pool with
-  | Some p -> Pool.queued p
-  | None -> max 0 (t.inline_admitted - 1)
 
 let record t ~kind ~(outcome : P.outcome) ~latency_ns x =
   locked t (fun () ->
@@ -311,13 +268,25 @@ let record t ~kind ~(outcome : P.outcome) ~latency_ns x =
 
 (* ---- expositions ---------------------------------------------------- *)
 
+(* the per-kind latency histograms of [record], as (kind, histogram) *)
+let latency_histograms t =
+  let prefix = "serve/latency_us/" in
+  let n = String.length prefix in
+  List.filter_map
+    (fun h ->
+      let name = Metrics.histogram_name h in
+      if String.length name > n && String.starts_with ~prefix name then
+        Some (String.sub name n (String.length name - n), h)
+      else None)
+    (Metrics.histograms t.service)
+
 let sorted_requests t =
   List.sort compare
     (Hashtbl.fold (fun (k, o) r acc -> (k, o, !r) :: acc) t.requests [])
 
 let metrics_exposition t =
   locked t (fun () ->
-      Metrics.set (Metrics.gauge t.service "serve/queue_depth") (queue_depth t);
+      Metrics.set (Metrics.gauge t.service "serve/queue_depth") (Pool.queued t.pool);
       Metrics.set (Metrics.gauge t.service "serve/in_flight") t.in_flight;
       let body = Openmetrics.of_metrics_body (Metrics.merged [ t.service; t.sim ]) in
       let reqs =
@@ -330,24 +299,13 @@ let metrics_exposition t =
       let quantiles =
         Openmetrics.family ~name:"serve_latency_quantile_us" ~typ:`Gauge
           (List.concat_map
-             (fun h ->
-               let name = Metrics.histogram_name h in
-               let prefix = "serve/latency_us/" in
-               if
-                 String.length name > String.length prefix
-                 && String.sub name 0 (String.length prefix) = prefix
-               then
-                 let kind =
-                   String.sub name (String.length prefix)
-                     (String.length name - String.length prefix)
-                 in
-                 List.map
-                   (fun (q, l) ->
-                     ( [ ("kind", kind); ("q", l) ],
-                       Openmetrics.Int (Metrics.percentile h q) ))
-                   [ (0.50, "0.5"); (0.95, "0.95"); (0.99, "0.99") ]
-               else [])
-             (Metrics.histograms t.service))
+             (fun (kind, h) ->
+               List.map
+                 (fun (q, l) ->
+                   ( [ ("kind", kind); ("q", l) ],
+                     Openmetrics.Int (Metrics.percentile h q) ))
+                 [ (0.50, "0.5"); (0.95, "0.95"); (0.99, "0.99") ])
+             (latency_histograms t))
       in
       let build =
         Openmetrics.family ~name:"build_info" ~typ:`Gauge
@@ -362,26 +320,17 @@ let metrics_exposition t =
 let stats_json t =
   locked t (fun () ->
       let latency =
-        List.filter_map
-          (fun h ->
-            let name = Metrics.histogram_name h in
-            let prefix = "serve/latency_us/" in
-            if
-              String.length name > String.length prefix
-              && String.sub name 0 (String.length prefix) = prefix
-            then
-              Some
-                ( String.sub name (String.length prefix)
-                    (String.length name - String.length prefix),
-                  Json.Obj
-                    [
-                      ("p50_us", Json.Int (Metrics.percentile h 0.50));
-                      ("p95_us", Json.Int (Metrics.percentile h 0.95));
-                      ("p99_us", Json.Int (Metrics.percentile h 0.99));
-                      ("count", Json.Int (Metrics.observations h));
-                    ] )
-            else None)
-          (Metrics.histograms t.service)
+        List.map
+          (fun (kind, h) ->
+            ( kind,
+              Json.Obj
+                [
+                  ("p50_us", Json.Int (Metrics.percentile h 0.50));
+                  ("p95_us", Json.Int (Metrics.percentile h 0.95));
+                  ("p99_us", Json.Int (Metrics.percentile h 0.99));
+                  ("count", Json.Int (Metrics.observations h));
+                ] ))
+          (latency_histograms t)
       in
       Json.Obj
         [
@@ -390,7 +339,7 @@ let stats_json t =
           ("jobs", Json.Int t.cfg.jobs);
           ("queue_limit", Json.Int t.cfg.queue_limit);
           ("in_flight", Json.Int t.in_flight);
-          ("queue_depth", Json.Int (queue_depth t));
+          ("queue_depth", Json.Int (Pool.queued t.pool));
           ("served", Json.Int t.served);
           ( "requests",
             Json.List
@@ -415,73 +364,6 @@ let stats_json t =
         ])
 
 (* ---- socket plumbing ------------------------------------------------ *)
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
-  go 0
-
-(* Per-connection line reader. Bytes read but not yet returned stay in
-   [buf] from [start] on; [buf] up to [scanned] is known to hold no
-   newline. Every byte is appended, scanned and (when a partial line is
-   compacted to the front) copied at most once, so a line costs time
-   linear in its length up to [max_line]. *)
-type reader = {
-  r_fd : Unix.file_descr;
-  chunk : Bytes.t;
-  buf : Buffer.t;
-  mutable start : int;
-  mutable scanned : int;
-}
-
-let reader fd =
-  {
-    r_fd = fd;
-    chunk = Bytes.create 4096;
-    buf = Buffer.create 4096;
-    start = 0;
-    scanned = 0;
-  }
-
-(* The next line without its '\n' (and one trailing '\r'); [`Oversized]
-   once more than [max_line] bytes arrive without a newline. A clean EOF
-   at a line boundary is [`Eof]; an EOF mid-line drops the partial line
-   (the client vanished). *)
-let rec read_line r ~max_line =
-  let len = Buffer.length r.buf in
-  let i = ref r.scanned in
-  while !i < len && Buffer.nth r.buf !i <> '\n' do
-    incr i
-  done;
-  if !i < len then begin
-    let nl = !i in
-    let stop =
-      if nl > r.start && Buffer.nth r.buf (nl - 1) = '\r' then nl - 1 else nl
-    in
-    let line = Buffer.sub r.buf r.start (stop - r.start) in
-    r.start <- nl + 1;
-    r.scanned <- nl + 1;
-    `Line line
-  end
-  else if len - r.start > max_line then `Oversized
-  else begin
-    if r.start > 0 then begin
-      let rest = Buffer.sub r.buf r.start (len - r.start) in
-      Buffer.clear r.buf;
-      Buffer.add_string r.buf rest;
-      r.start <- 0
-    end;
-    r.scanned <- Buffer.length r.buf;
-    let n =
-      try Unix.read r.r_fd r.chunk 0 (Bytes.length r.chunk)
-      with Unix.Unix_error _ -> 0
-    in
-    if n = 0 then `Eof
-    else begin
-      Buffer.add_subbytes r.buf r.chunk 0 n;
-      read_line r ~max_line
-    end
-  end
 
 let http_response ~status ~content_type body =
   Printf.sprintf
@@ -510,7 +392,7 @@ let handle_http t fd line =
         http_response ~status:"404 Not Found" ~content_type:"text/plain"
           "not found\n"
   in
-  write_all fd resp
+  P.write_all fd resp
 
 (* ---- request dispatch ----------------------------------------------- *)
 
@@ -544,41 +426,14 @@ let persist_dump t ~rid dump =
         Some path
       with _ -> None)
 
-(* Runs [req] on an executor (pool worker or inline) and returns
-   [Some (queue_wait_ns, exec)] — or [None] when load must be shed. *)
+(* Runs [req] on a pool worker and returns [Some (queue_wait_ns, exec)] —
+   or [None] when load must be shed. *)
 let dispatch t req =
-  match t.pool with
-  | Some p ->
-      let cell = ivar () in
-      let t_submit = now_ns () in
-      let accepted =
-        Pool.try_submit p ~limit:t.cfg.queue_limit (fun () ->
-            let t_start = now_ns () in
-            ivar_fill cell (t_start - t_submit, exec_request req))
-      in
-      if accepted then Some (ivar_wait cell) else None
-  | None ->
-      let admitted =
-        locked t (fun () ->
-            if t.inline_admitted <= t.cfg.queue_limit then (
-              t.inline_admitted <- t.inline_admitted + 1;
-              true)
-            else false)
-      in
-      if not admitted then None
-      else begin
-        let t_submit = now_ns () in
-        Mutex.lock t.inline_lock;
-        let t_start = now_ns () in
-        let x =
-          Fun.protect
-            ~finally:(fun () ->
-              Mutex.unlock t.inline_lock;
-              locked t (fun () -> t.inline_admitted <- t.inline_admitted - 1))
-            (fun () -> exec_request req)
-        in
-        Some (t_start - t_submit, x)
-      end
+  let t_submit = now_ns () in
+  Pool.try_submit t.pool ~limit:t.cfg.queue_limit (fun () ->
+      let queue_wait_ns = now_ns () - t_submit in
+      (queue_wait_ns, exec_request req))
+  |> Option.map (fun await -> await ())
 
 let handle_line t fd line =
   let t_recv = now_ns () in
@@ -593,7 +448,7 @@ let handle_line t fd line =
     (* book-keep before the write: once the client holds the reply, the
        service counters must already account for it *)
     record t ~kind ~outcome ~latency_ns:(now_ns () - t_recv) None;
-    write_all fd (Json.to_string reply ^ "\n")
+    P.write_all fd (Json.to_string reply ^ "\n")
   in
   match P.parse_line line with
   | Error e ->
@@ -694,16 +549,16 @@ let handle_line t fd line =
             record t ~kind ~outcome:x.x_outcome
               ~latency_ns:(now_ns () - t_recv)
               (Some x);
-            (try write_all fd (Json.to_string reply ^ "\n")
+            (try P.write_all fd (Json.to_string reply ^ "\n")
              with Unix.Unix_error _ -> ());
             finish ();
             true
       end)
 
 let handle_conn t fd =
-  let r = reader fd in
+  let r = P.reader fd in
   let rec loop () =
-    match read_line r ~max_line:t.cfg.max_line with
+    match P.read_line r ~max_line:t.cfg.max_line with
     | `Eof -> ()
     | `Oversized ->
         let reply =
@@ -717,7 +572,7 @@ let handle_conn t fd =
               ]
             ()
         in
-        (try write_all fd (Json.to_string reply ^ "\n")
+        (try P.write_all fd (Json.to_string reply ^ "\n")
          with Unix.Unix_error _ -> ());
         record t ~kind:"unknown" ~outcome:P.Rejected ~latency_ns:0 None
     | `Line line ->
@@ -753,20 +608,15 @@ let create ?(config = default_config) () =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> assert false
   in
-  let pool =
-    if config.jobs > 1 then Some (Pool.create ~domains:config.jobs ()) else None
-  in
   {
     cfg = config;
     fd;
     port;
-    pool;
-    inline_lock = Mutex.create ();
+    pool = Pool.create ~domains:(max 1 config.jobs) ();
     lock = Mutex.create ();
     drained = Condition.create ();
     stopping = false;
     in_flight = 0;
-    inline_admitted = 0;
     next_req = 0;
     served = 0;
     started = Unix.gettimeofday ();
@@ -803,5 +653,5 @@ let serve t =
     Condition.wait t.drained t.lock
   done;
   Mutex.unlock t.lock;
-  Option.iter Pool.shutdown t.pool;
+  Pool.shutdown t.pool;
   try Unix.close t.fd with Unix.Unix_error _ -> ()

@@ -2,12 +2,12 @@
     {!Protocol} (plus plain HTTP GET on the same port for [/metrics],
     [/healthz] and [/stats]).
 
-    Execution shards across a {!Splice_par.Pool} of [jobs] worker domains
-    behind a bounded queue: when [queue_limit] requests are already
-    waiting, new work is shed with an [overloaded] reply instead of
-    buffering — backpressure is explicit. With [jobs = 1] requests run
-    inline on the connection thread, serialized (systhreads share the
-    main domain's domain-local caches and signal stores).
+    Execution shards across a {!Splice_par.Pool} of [max 1 jobs] worker
+    domains behind a bounded queue: when [queue_limit] requests are
+    already waiting beyond the idle workers, new work is shed with an
+    [overloaded] reply instead of buffering — backpressure is explicit.
+    A fuzz request runs the [splice fuzz] config itself
+    ({!Splice_check.Diff.run}).
 
     Determinism: each request is one self-contained task on one domain,
     so fuzz digests, eval digests and failure dumps are byte-identical
@@ -18,8 +18,10 @@
 type config = {
   host : string;
   port : int;  (** 0 picks an ephemeral port; read it back with {!port} *)
-  jobs : int;  (** executors: 1 = inline, N>1 = a pool of N domains *)
-  queue_limit : int;  (** queued (not yet running) requests admitted *)
+  jobs : int;  (** worker domains executing requests (at least one) *)
+  queue_limit : int;
+      (** requests admitted to wait beyond the idle workers; [0] runs a
+          request only when a worker is free for it *)
   dump_dir : string option;
       (** persist failing requests' flight-recorder dumps here as
           [req-NNNNNN-dump.json]; the reply echoes the path *)
@@ -61,3 +63,4 @@ val stats_json : t -> Splice_obs.Json.t
     table and latency percentiles as JSON. *)
 
 val version : string
+(** The release version, also [Splice.version]. *)

@@ -2,11 +2,8 @@
    the daemon-vs-CLI determinism contract.
 
    Server instances listen on ephemeral loopback ports with [serve]
-   running in a systhread. Anything that must compare against a direct
-   (in-process) run computes the direct result *before* the server is
-   involved: with [jobs = 1] the daemon executes inline on connection
-   threads of this same domain, so the test must not simulate
-   concurrently with it. *)
+   running in a systhread; every request executes on one of the
+   server's own worker domains, never on this test's domain. *)
 
 open Splice
 
@@ -144,7 +141,13 @@ let protocol_tests =
         check_bool "unknown bus" true
           (err "{\"kind\":\"fuzz\",\"seed\":1,\"bus\":\"nope\"}" <> "");
         check_bool "bad ratio" true
-          (err "{\"kind\":\"fuzz\",\"seed\":1,\"ratio\":\"x\"}" <> ""));
+          (err "{\"kind\":\"fuzz\",\"seed\":1,\"ratio\":\"x\"}" <> "");
+        check_bool "bad fifo depth" true
+          (is_infix ~affix:"depth"
+             (err "{\"kind\":\"fuzz\",\"seed\":1,\"depth\":3}"));
+        check_bool "unknown sched" true
+          (is_infix ~affix:"sched"
+             (err "{\"kind\":\"fuzz\",\"seed\":1,\"sched\":\"fastest\"}")));
     t "parse: a full fuzz request round-trips every field" (fun () ->
         match
           Serve_protocol.parse_line
@@ -155,12 +158,11 @@ let protocol_tests =
         | Ok (Serve_protocol.Fuzz f) ->
             check_int "seed" 9 f.seed;
             check_int "count" 3 f.count;
-            Alcotest.(check (option string)) "bus" (Some "axi") f.bus;
+            Alcotest.(check (list string)) "bus" [ "axi" ] f.buses;
             check_int "scheds" 2 (List.length f.scheds);
             check_bool "ratio" true (f.ratio = Some (3, 1));
             check_bool "depth" true (f.depth = Some 4);
-            check_bool "cache off" false f.cache;
-            check_int "cache_size" 7 f.cache_size
+            check_bool "cache off" false f.cache
         | Ok _ -> Alcotest.fail "parsed as a different kind"
         | Error e -> Alcotest.failf "did not parse: %s" e);
     t "openmetrics: hostile label values escape per the spec" (fun () ->
@@ -189,7 +191,7 @@ let protocol_tests =
           ~finally:(fun () -> Pool.shutdown p)
           (fun () ->
             check_bool "accepted under limit" true
-              (Pool.try_submit p ~limit:4 (fun () -> ()));
+              (Option.is_some (Pool.try_submit p ~limit:4 (fun () -> ())));
             check_bool "queued is sane" true (Pool.queued p >= 0);
             Alcotest.check_raises "negative limit"
               (Invalid_argument "Pool.try_submit: negative limit") (fun () ->
@@ -201,6 +203,31 @@ let protocol_tests =
             Alcotest.check_raises "sequential pool has no queue"
               (Invalid_argument "Pool.try_submit: sequential pool has no workers")
               (fun () -> ignore (Pool.try_submit seq ~limit:4 (fun () -> ())))));
+    t "pool: try_submit ~limit:0 runs a task only on an idle worker" (fun () ->
+        let p = Pool.create ~domains:1 () in
+        Fun.protect
+          ~finally:(fun () -> Pool.shutdown p)
+          (fun () ->
+            let gate = Mutex.create () in
+            Mutex.lock gate;
+            let busy =
+              match
+                Pool.try_submit p ~limit:0 (fun () ->
+                    Mutex.lock gate;
+                    Mutex.unlock gate;
+                    1)
+              with
+              | Some await -> await
+              | None -> Alcotest.fail "an idle worker refused a task"
+            in
+            check_bool "rejected while the worker is busy" true
+              (Option.is_none (Pool.try_submit p ~limit:0 (fun () -> 0)));
+            Mutex.unlock gate;
+            check_int "first task ran" 1 (busy ());
+            (* the worker counts as idle again once [await] returns *)
+            match Pool.try_submit p ~limit:0 (fun () -> 2) with
+            | Some await -> check_int "accepted once idle" 2 (await ())
+            | None -> Alcotest.fail "refused after the worker went idle"));
     t "cache: metrics_into surfaces the domain cache counters" (fun () ->
         (* make sure this domain has a cache with traffic on it *)
         ignore (Diff.run { Diff.default_config with seed = 3; count = 1 });
@@ -231,6 +258,48 @@ let protocol_tests =
   ]
 
 (* ---- daemon behavior ------------------------------------------------- *)
+
+(* [jobs] sleepers occupy every worker of a [queue_limit = 0] daemon, so
+   the next request is shed; an idle daemon runs it, before and after *)
+let saturation jobs =
+  t (Printf.sprintf "serve: saturation sheds load with an overloaded reply (jobs %d)" jobs)
+    (fun () ->
+      with_server
+        { Serve.default_config with jobs; queue_limit = 0 }
+        (fun _srv port ->
+          let run_one what =
+            with_conn port (fun c ->
+                check_bool what true (ok_of (req c (fuzz_line ~seed:1 ~count:1 ()))))
+          in
+          run_one "idle daemon runs a request";
+          let sleepers =
+            List.init jobs (fun _ ->
+                let reply = ref None in
+                let th =
+                  Thread.create
+                    (fun () ->
+                      with_conn port (fun c ->
+                          reply := Some (req c "{\"kind\":\"sleep\",\"ms\":600}")))
+                    ()
+                in
+                (th, reply))
+          in
+          Thread.delay 0.15;
+          with_conn port (fun c ->
+              let r = req c (fuzz_line ~seed:1 ~count:1 ()) in
+              check_bool "shed, not buffered" false (ok_of r);
+              check_string "overloaded outcome" "overloaded" (str_of r "outcome");
+              check_bool "limit named" true (String.length (str_of r "error") > 0));
+          List.iter
+            (fun (th, reply) ->
+              Thread.join th;
+              match !reply with
+              | Some r ->
+                  check_bool "in-flight request still completed" true (ok_of r);
+                  check_int "slept" 600 (int_of r "slept_ms")
+              | None -> Alcotest.fail "slow request lost its reply")
+            sleepers;
+          run_one "drained daemon runs a request"))
 
 let server_tests =
   [
@@ -334,10 +403,18 @@ let server_tests =
                   "span tree phases"
                   [ "elaborate"; "queue_wait"; "reply"; "request"; "simulate" ]
                   (reply_span_names r);
-                (* the direct run above already warmed this domain's cache,
-                   so the daemon's inline execution may see pure hits *)
                 check_bool "cache deltas reported" true
                   (int_of r "cache_hits" + int_of r "cache_misses" > 0))));
+    t "serve: eval digest matches the direct measurement" (fun () ->
+        let expected =
+          Printf.sprintf "0x%016Lx" (Cycles.digest (Cycles.measure ()))
+        in
+        with_server Serve.default_config (fun _srv port ->
+            with_conn port (fun c ->
+                let r = req c "{\"kind\":\"eval\"}" in
+                check_bool "eval ok" true (ok_of r);
+                check_string "digest equals direct run" expected
+                  (str_of r "digest"))));
     t "serve: concurrent clients agree with the direct executor (jobs 4)"
       (fun () ->
         let expected_a = direct_digest ~seed:21 ~count:2 in
@@ -366,32 +443,8 @@ let server_tests =
                 check_string "client B digest" expected_b d
             | None -> Alcotest.fail "client B got no reply");
             check_bool "served both" true (Serve.served srv >= 2)));
-    t "serve: saturation sheds load with an overloaded reply" (fun () ->
-        with_server
-          { Serve.default_config with queue_limit = 0 }
-          (fun _srv port ->
-            let slow_reply = ref None in
-            let slow =
-              Thread.create
-                (fun () ->
-                  with_conn port (fun c ->
-                      slow_reply := Some (req c "{\"kind\":\"sleep\",\"ms\":600}")))
-                ()
-            in
-            Thread.delay 0.15;
-            with_conn port (fun c ->
-                let r = req c (fuzz_line ~seed:1 ~count:1 ()) in
-                check_bool "shed, not buffered" false (ok_of r);
-                check_string "overloaded outcome" "overloaded"
-                  (str_of r "outcome");
-                check_bool "limit named" true
-                  (String.length (str_of r "error") > 0));
-            Thread.join slow;
-            match !slow_reply with
-            | Some r ->
-                check_bool "in-flight request still completed" true (ok_of r);
-                check_int "slept" 600 (int_of r "slept_ms")
-            | None -> Alcotest.fail "slow request lost its reply"));
+    saturation 1;
+    saturation 2;
     t "serve: shutdown drains in-flight requests" (fun () ->
         let srv = Serve.create ~config:Serve.default_config () in
         let port = Serve.port srv in
