@@ -160,12 +160,13 @@ let disabled = { enabled = false }
 (* LRU capacity of each domain's cache, in elaborated designs *)
 let domain_capacity = 32
 
-let slot : t option ref Dls.t = Dls.make (fun () -> ref None)
+let slot : t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
 
 let domain_cache cfg =
   if not cfg.enabled then None
   else begin
-    let r = Dls.get slot in
+    let r = Domain.DLS.get slot in
     if Option.is_none !r then r := Some (create ~capacity:domain_capacity);
     !r
   end
@@ -176,7 +177,7 @@ let with_cache cfg ~key ~sched ~build =
   | Some c -> acquire c ~key ~sched ~build
 
 let domain_stats () =
-  match !(Dls.get slot) with None -> None | Some c -> Some (stats c)
+  match !(Domain.DLS.get slot) with None -> None | Some c -> Some (stats c)
 
 (* Every OpenMetrics exposition should carry the cache's effectiveness,
    not just BENCH JSON: register the calling domain's cumulative hit/miss

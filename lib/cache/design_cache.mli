@@ -16,7 +16,7 @@
     Determinism contract: a hit is byte-identical to a fresh build —
     digests, failure dumps, stats and recorder rings never depend on the
     hit/miss pattern. Caches are therefore kept {e per domain} (via
-    [Splice_par.Dls], no shared mutation, no locks) and results stay
+    [Domain.DLS], no shared mutation, no locks) and results stay
     bit-equal at any [-j] and with the cache disabled. Only the hit/miss
     {e counters} depend on how work landed on domains. *)
 
@@ -64,7 +64,7 @@ val capacity : t -> int
 (** {1 Per-domain ambient cache}
 
     The fuzz/eval grids run one task per pool domain; each domain keeps
-    its own cache in a [Splice_par.Dls] slot, so no state is shared across
+    its own cache in a [Domain.DLS] slot, so no state is shared across
     domains and worker caches die with the pool. *)
 
 type config = { enabled : bool }

@@ -336,6 +336,3 @@ let attach kernel ~bus sis =
   | Some d -> Kernel.add_check_in kernel d r.check (run_rules kernel r sis)
   | None -> Kernel.add_check kernel r.check (run_rules kernel r sis));
   if String.equal bus "axi" then attach_axi_native kernel
-
-let attach_bus kernel (module B : Bus.S) sis =
-  attach kernel ~bus:B.caps.Splice_syntax.Bus_caps.name sis

@@ -39,6 +39,3 @@ val supported : string list
 val attach : Kernel.t -> bus:string -> Sis_if.t -> unit
 (** Attach the monitor for [bus] (dedicated if {!supported}, generic
     otherwise). The check name is ["<bus>-protocol"]. *)
-
-val attach_bus : Kernel.t -> (module Splice_buses.Bus.S) -> Sis_if.t -> unit
-(** {!attach} keyed on the module's capability name. *)

@@ -77,8 +77,8 @@ type report = {
    around each grid task — the same DLS-delta pattern as the cache
    counters above, and safe for the same reason: one task at a time per
    domain. *)
-let phase_ns : (int ref * int ref) Splice_par.Dls.t =
-  Splice_par.Dls.make (fun () -> (ref 0, ref 0))
+let phase_ns : (int ref * int ref) Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> (ref 0, ref 0))
 
 (* the kernel's monotonic clock, as an int *)
 let now_ns () = Int64.to_int (Kernel.now_ns ())
@@ -228,7 +228,7 @@ let exec ~max_cycles ~cache ~key ~cover ~caps ~spec ~tr bus sched =
           cover);
     host
   in
-  let build_ns, sim_ns = Splice_par.Dls.get phase_ns in
+  let build_ns, sim_ns = Domain.DLS.get phase_ns in
   let t_build = now_ns () in
   let host, _hit =
     Splice_cache.Design_cache.with_cache cache ~key ~sched ~build
@@ -665,7 +665,7 @@ let run ?(log = ignore) ?pool config =
                   (s.Splice_cache.Design_cache.hits, s.Splice_cache.Design_cache.misses)
               | None -> (0, 0)
             in
-            let pb, ps = Splice_par.Dls.get phase_ns in
+            let pb, ps = Domain.DLS.get phase_ns in
             let pb0 = !pb and ps0 = !ps in
             let res =
               exec_bus ~max_cycles:config.max_cycles ~iseed ~cover:cmap

@@ -85,7 +85,3 @@ let write_to ?(force = false) ~dir t =
       close_out oc;
       path)
     (files t)
-
-let from_source ?gen_date ?linux src =
-  let spec = Validate.of_string_exn ~lookup_bus:Registry.lookup_caps src in
-  generate ?gen_date ?linux spec

@@ -27,6 +27,3 @@ val write_to : ?force:bool -> dir:string -> t -> string list
 (** Write all files under [dir ^ "/" ^ device_name]; returns the paths
     written. Raises [Failure] when the device directory already exists and
     [force] is false. *)
-
-val from_source : ?gen_date:string -> ?linux:bool -> string -> t
-(** Parse + validate (against the bus registry) + generate. *)

@@ -17,7 +17,7 @@ type t = {
          set a design cache snapshots and restores for instance reset *)
 }
 
-let create ?(monitor = true) ?issue_overhead ?(lean_driver = false) ?bus ?obs
+let create ?issue_overhead ?(lean_driver = false) ?bus ?obs
     ?sched (spec : Spec.t) ~behaviors =
   let (module B : Bus.S) =
     match bus with
@@ -31,7 +31,7 @@ let create ?(monitor = true) ?issue_overhead ?(lean_driver = false) ?bus ?obs
   let (host, created) =
     Signal.record_created (fun () ->
         let kernel = Kernel.create ?sched ?obs () in
-        let peripheral = Peripheral.build ~monitor kernel spec ~behaviors in
+        let peripheral = Peripheral.build kernel spec ~behaviors in
         let port = B.connect kernel spec (Peripheral.sis peripheral) in
         let wait_mode =
           if spec.Spec.interrupts && B.caps.Bus_caps.supports_interrupts then

@@ -12,7 +12,6 @@ open Splice_syntax
 type t
 
 val create :
-  ?monitor:bool ->
   ?issue_overhead:int ->
   ?lean_driver:bool ->
   ?bus:(module Splice_buses.Bus.S) ->
@@ -28,7 +27,9 @@ val create :
     off); every layer — kernel, bus adapter, arbiter, SIS monitor, CPU —
     is wired to it. [sched] selects the kernel's comb scheduler (default
     event-driven; [`Sweep] is the legacy oracle the E14 ablation compares
-    against). *)
+    against). The peripheral always carries the SIS protocol monitor
+    ({!Splice_sis.Peripheral.build}); bus-level monitors are attached
+    afterwards through {!adopt}. *)
 
 val call :
   ?instance:int ->

@@ -79,28 +79,19 @@ let family ~name ~typ series =
   add_family b ~name ~typ series;
   Buffer.contents b
 
-let add_hist_series b name ls h =
-  let le extra = labels (ls @ extra) in
+let add_hist_series b name h =
+  let le limit = labels [ ("le", limit) ] in
   let cum = ref 0 in
   Array.iteri
     (fun i limit ->
       cum := !cum + (if i < Array.length h.om_buckets then h.om_buckets.(i) else 0);
       Buffer.add_string b
-        (Printf.sprintf "%s_bucket%s %d\n" name
-           (le [ ("le", string_of_int limit) ])
-           !cum))
+        (Printf.sprintf "%s_bucket%s %d\n" name (le (string_of_int limit)) !cum))
     h.om_limits;
   Buffer.add_string b
-    (Printf.sprintf "%s_bucket%s %d\n" name (le [ ("le", "+Inf") ]) h.om_count);
-  Buffer.add_string b (Printf.sprintf "%s_count%s %d\n" name (labels ls) h.om_count);
-  Buffer.add_string b (Printf.sprintf "%s_sum%s %d\n" name (labels ls) h.om_sum)
-
-let hist_family ~name series =
-  let name = sanitize name in
-  let b = Buffer.create 512 in
-  Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" name);
-  List.iter (fun (ls, h) -> add_hist_series b name ls h) series;
-  Buffer.contents b
+    (Printf.sprintf "%s_bucket%s %d\n" name (le "+Inf") h.om_count);
+  Buffer.add_string b (Printf.sprintf "%s_count %d\n" name h.om_count);
+  Buffer.add_string b (Printf.sprintf "%s_sum %d\n" name h.om_sum)
 
 let render_body ~counters ~gauges ~histograms =
   let b = Buffer.create 1024 in
@@ -114,7 +105,7 @@ let render_body ~counters ~gauges ~histograms =
     (fun (name, h) ->
       let name = sanitize name in
       Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" name);
-      add_hist_series b name [] h)
+      add_hist_series b name h)
     histograms;
   Buffer.contents b
 

@@ -10,7 +10,7 @@
     [# EOF] terminator the OpenMetrics spec requires.
 
     Beyond whole-registry snapshots, the module renders {e labeled}
-    families ({!family}, {!hist_family}) for services that key one metric
+    families ({!family}) for services that key one metric
     by request kind, outcome or bus — label values are escaped per the
     spec ({!escape_label_value}), so hostile bus or spec names cannot
     break the line grammar. Compose bodies with {!render_body} /
@@ -53,10 +53,6 @@ val family :
 (** One [# TYPE] line plus one sample line per (labelset, value); [name]
     goes through {!sanitize}, counter samples get the [_total] suffix,
     label values through {!escape_label_value}. *)
-
-val hist_family : name:string -> (label list * hist) list -> string
-(** A histogram family with one bucket/count/sum series per labelset; the
-    [le] label is appended after the caller's labels. *)
 
 val eof : string
 (** ["# EOF\n"] — append exactly once per exposition. *)

@@ -3,7 +3,6 @@ type t = { mutable state : int64 }
 let gamma = 0x9E3779B97F4A7C15L
 
 let make seed = { state = Int64.of_int seed }
-let of_int64 state = { state }
 
 let mix64 z =
   let z =

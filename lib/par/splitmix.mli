@@ -14,8 +14,6 @@ type t
 val make : int -> t
 (** [make seed] starts the stream at state [seed]. *)
 
-val of_int64 : int64 -> t
-
 val next : t -> int64
 (** Advance one step and return the mixed 64-bit output. *)
 

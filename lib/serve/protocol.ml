@@ -40,7 +40,6 @@ let outcome_name = function
   | Errored -> "error"
   | Draining -> "shutting_down"
 
-let outcomes = [ "ok"; "rejected"; "failed"; "overloaded"; "error"; "shutting_down" ]
 let ok_of_outcome = function Ok_ -> true | _ -> false
 
 (* the daemon is a shared resource: cap the work one request may ask for *)
@@ -95,9 +94,9 @@ let parse_fuzz j =
   let* () = Diff.check cfg in
   Ok (Fuzz cfg)
 
-let parse j =
-  match j with
-  | Json.Obj _ -> (
+let parse = function
+  | Error e -> Error (Printf.sprintf "malformed JSON: %s" e)
+  | Ok (Json.Obj _ as j) -> (
       match str_field j "kind" with
       | None -> Error "missing string field \"kind\""
       | Some "spec" -> (
@@ -119,12 +118,9 @@ let parse j =
       | Some "stats" -> Ok Stats
       | Some "shutdown" -> Ok Shutdown
       | Some k -> Error (Printf.sprintf "unknown request kind %S" k))
-  | _ -> Error "request must be a JSON object"
+  | Ok _ -> Error "request must be a JSON object"
 
-let parse_line line =
-  match Json.of_string line with
-  | Error e -> Error (Printf.sprintf "malformed JSON: %s" e)
-  | Ok j -> parse j
+let parse_line line = parse (Json.of_string line)
 
 (* ---- spans --------------------------------------------------------- *)
 

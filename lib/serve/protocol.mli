@@ -6,7 +6,7 @@
     kind-specific parameters; the optional [id] member (any JSON value)
     is echoed verbatim in the reply so clients can correlate pipelined
     requests. Replies always carry the server-assigned [req] serial,
-    [kind], [ok], an [outcome] from {!outcomes}, and — for executed
+    [kind], [ok], an [outcome] (see {!outcome_name}), and — for executed
     requests — a [spans] tree (queue_wait / elaborate / simulate /
     reply) plus [cache_hits]/[cache_misses] deltas. *)
 
@@ -34,11 +34,16 @@ val max_count : int
 type outcome = Ok_ | Rejected | Failed | Overloaded | Errored | Draining
 
 val outcome_name : outcome -> string
-val outcomes : string list
 val ok_of_outcome : outcome -> bool
 
-val parse : Splice_obs.Json.t -> (request, string) result
+val parse : (Splice_obs.Json.t, string) result -> (request, string) result
+(** [parse (Json.of_string line)]: the request a decoded line carries; a
+    decode error is rejected as malformed JSON. Takes the decode result so
+    a caller that also reads other members ([id], [kind]) decodes the line
+    once. *)
+
 val parse_line : string -> (request, string) result
+(** [parse (Json.of_string line)]. *)
 
 (** {1 Spans} *)
 

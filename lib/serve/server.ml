@@ -56,7 +56,7 @@ type t = {
   mutable in_flight : int;
   mutable next_req : int;
   mutable served : int;
-  started : float;
+  started : int;  (* [now_ns] at boot: uptime never steps backwards *)
   service : Metrics.t;  (* daemon-side series: cache totals, latency *)
   sim : Metrics.t;  (* merged per-request simulation registries *)
   requests : (string * string, int ref) Hashtbl.t;  (* (kind, outcome) *)
@@ -64,6 +64,8 @@ type t = {
 
 (* the kernel's monotonic clock, as an int *)
 let now_ns () = Int64.to_int (Splice_sim.Kernel.now_ns ())
+
+let uptime_s t = float_of_int (now_ns () - t.started) /. 1e9
 
 (* ---- request execution (on a worker domain) -------------------------- *)
 
@@ -91,12 +93,6 @@ let plain outcome fields =
   }
 
 let rejected msg = plain P.Rejected [ ("error", Json.String msg) ]
-
-let cache_stats () =
-  match Splice_cache.Design_cache.domain_stats () with
-  | Some s ->
-      (s.Splice_cache.Design_cache.hits, s.Splice_cache.Design_cache.misses)
-  | None -> (0, 0)
 
 let exec_spec source =
   let t0 = now_ns () in
@@ -128,12 +124,12 @@ let exec_spec source =
               (fun i -> Format.asprintf "%a" Splice_syntax.Validate.pp_issue i)
               issues))
 
+(* the Fig 9.2 grid builds its hosts directly, never through the design
+   cache, so an eval reply reports no cache hits or misses *)
 let exec_eval () =
-  let h0, m0 = cache_stats () in
   let t0 = now_ns () in
   let drows = Splice_eval.Cycles.measure_detailed () in
   let total = now_ns () - t0 in
-  let h1, m1 = cache_stats () in
   let open Splice_eval.Cycles in
   let rows = List.map (fun d -> d.row) drows in
   let digest = Splice_eval.Cycles.digest rows in
@@ -150,29 +146,26 @@ let exec_eval () =
   in
   let elab = min elab total in
   {
-    x_outcome = P.Ok_;
-    x_fields =
-      [
-        ("digest", Json.String (Printf.sprintf "0x%016Lx" digest));
-        ( "rows",
-          Json.List
-            (List.map
-               (fun r ->
-                 Json.Obj
-                   [
-                     ( "impl",
-                       Json.String
-                         (Splice_devices.Interpolator.impl_name r.impl) );
-                     ("cycles", Json.Int r.total);
-                   ])
-               rows) );
-      ];
+    (plain P.Ok_
+       [
+         ("digest", Json.String (Printf.sprintf "0x%016Lx" digest));
+         ( "rows",
+           Json.List
+             (List.map
+                (fun r ->
+                  Json.Obj
+                    [
+                      ( "impl",
+                        Json.String
+                          (Splice_devices.Interpolator.impl_name r.impl) );
+                      ("cycles", Json.Int r.total);
+                    ])
+                rows) );
+       ])
+    with
     x_elab_ns = elab;
     x_sim_ns = max 0 (total - elab);
-    x_hits = h1 - h0;
-    x_misses = m1 - m0;
     x_metrics = Some (Metrics.merged (List.map (fun d -> Obs.metrics d.obs) drows));
-    x_dump = None;
   }
 
 let exec_fuzz cfg =
@@ -313,7 +306,7 @@ let metrics_exposition t =
       in
       let uptime =
         Openmetrics.family ~name:"uptime_seconds" ~typ:`Gauge
-          [ ([], Openmetrics.Float (Unix.gettimeofday () -. t.started)) ]
+          [ ([], Openmetrics.Float (uptime_s t)) ]
       in
       body ^ reqs ^ quantiles ^ build ^ uptime ^ Openmetrics.eof)
 
@@ -335,7 +328,7 @@ let stats_json t =
       Json.Obj
         [
           ("version", Json.String version);
-          ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started));
+          ("uptime_s", Json.Float (uptime_s t));
           ("jobs", Json.Int t.cfg.jobs);
           ("queue_limit", Json.Int t.cfg.queue_limit);
           ("in_flight", Json.Int t.in_flight);
@@ -438,11 +431,13 @@ let dispatch t req =
 let handle_line t fd line =
   let t_recv = now_ns () in
   let rid = fresh_req t in
-  let id_echo =
-    match Json.of_string line with
-    | Ok j -> Json.member "id" j
-    | Error _ -> None
+  (* one decode per line: the echoed [id], a rejection's [kind] and the
+     request itself all come from this value *)
+  let json = Json.of_string line in
+  let member name =
+    match json with Ok j -> Json.member name j | Error _ -> None
   in
+  let id_echo = member "id" in
   let send ~kind ~outcome ?(fields = []) ?(spans = []) () =
     let reply = P.reply ~req:rid ?id:id_echo ~kind ~outcome ~fields ~spans () in
     (* book-keep before the write: once the client holds the reply, the
@@ -450,15 +445,10 @@ let handle_line t fd line =
     record t ~kind ~outcome ~latency_ns:(now_ns () - t_recv) None;
     P.write_all fd (Json.to_string reply ^ "\n")
   in
-  match P.parse_line line with
+  match P.parse json with
   | Error e ->
       let kind =
-        match Json.of_string line with
-        | Ok j -> (
-            match Option.bind (Json.member "kind" j) Json.to_str with
-            | Some k -> k
-            | None -> "unknown")
-        | Error _ -> "unknown"
+        Option.value ~default:"unknown" (Option.bind (member "kind") Json.to_str)
       in
       send ~kind ~outcome:P.Rejected ~fields:[ ("error", Json.String e) ] ();
       true
@@ -619,7 +609,7 @@ let create ?(config = default_config) () =
     in_flight = 0;
     next_req = 0;
     served = 0;
-    started = Unix.gettimeofday ();
+    started = now_ns ();
     service = Metrics.create ();
     sim = Metrics.create ();
     requests = Hashtbl.create 16;

@@ -1,12 +1,9 @@
-type sensitivity =
-  | Always
-  | Reads of { signals : Signal.t list; edge : bool }
-
 type t = {
   name : string;
   comb : unit -> unit;
   seq : unit -> unit;
-  sensitivity : sensitivity;
+  reads : Signal.t list;
+  edge : bool;
   has_comb : bool;
   mutable dirty : bool;
   mutable reg_gen : int;
@@ -28,21 +25,21 @@ type t = {
 let nop () = ()
 
 let make ?reads ?state ?comb ?seq ?reset name =
-  let sensitivity =
+  let reads, edge =
     match (comb, reads) with
-    | None, _ -> Reads { signals = []; edge = false }
-    | Some _, None -> Always
+    | None, _ -> ([], false)
+    | Some _, None ->
+        invalid_arg
+          (Printf.sprintf "Component.make %S: a comb must declare its ~reads" name)
     | Some _, Some signals ->
-        let edge =
-          match state with Some b -> b | None -> Option.is_some seq
-        in
-        Reads { signals; edge }
+        (signals, match state with Some b -> b | None -> Option.is_some seq)
   in
   {
     name;
     comb = (match comb with Some f -> f | None -> nop);
     seq = (match seq with Some f -> f | None -> nop);
-    sensitivity;
+    reads;
+    edge;
     has_comb = Option.is_some comb;
     dirty = false;
     reg_gen = 0;
@@ -52,4 +49,3 @@ let make ?reads ?state ?comb ?seq ?reset name =
   }
 
 let name t = t.name
-let sensitivity t = t.sensitivity

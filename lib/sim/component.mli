@@ -9,14 +9,12 @@
     {1 Sensitivity}
 
     [reads] declares the complete set of signals the [comb] callback reads.
-    The event-driven kernel only re-evaluates a component when one of its
-    declared reads changed — so the declaration is a contract: [comb] must be
-    a deterministic function of exactly those signals (plus, when [state] is
-    true, internal state that only the component's own [seq] mutates). A
-    component constructed with a [comb] but no [reads] falls back to the
-    legacy always-dirty behaviour: it is re-evaluated on every delta pass,
-    exactly as the sweep scheduler would, which is always safe and lets
-    call sites migrate incrementally.
+    The kernel only re-evaluates a component when one of its declared reads
+    changed — so the declaration is a contract: [comb] must be a
+    deterministic function of exactly those signals (plus, when [state] is
+    true, internal state that only the component's own [seq] mutates).
+    Every [comb] declares its reads; one that reads only its own state
+    declares [~reads:[]] together with [~state:true] or a [seq].
 
     [state] marks the combinational output as also depending on clocked
     internal state, so the kernel re-arms the component after every clock
@@ -25,17 +23,15 @@
     components whose [seq] only does bookkeeping that [comb] never reads
     (e.g. metrics). *)
 
-type sensitivity =
-  | Always  (** legacy fallback: evaluate on every delta pass *)
-  | Reads of { signals : Signal.t list; edge : bool }
-      (** [signals]: comb re-runs when any of them changes; [edge]: comb
-          additionally re-runs after every clock edge (state-dependent). *)
-
 type t = {
   name : string;
   comb : unit -> unit;
   seq : unit -> unit;
-  sensitivity : sensitivity;
+  reads : Signal.t list;
+      (** [comb] re-runs when any of these changes ([[]] without a [comb]) *)
+  edge : bool;
+      (** [comb] additionally re-runs after every clock edge
+          (state-dependent); always [false] without a [comb] *)
   has_comb : bool;  (** false when no [comb] was supplied (callback is a nop) *)
   mutable dirty : bool;  (** kernel-owned: queued for (re-)evaluation *)
   mutable reg_gen : int;
@@ -62,11 +58,11 @@ val make :
   t
 (** Missing callbacks default to no-ops. A component without [comb] is never
     scheduled for combinational evaluation; one with [comb] but no [reads]
-    is treated as {!Always} dirty. [state] defaults to [true] iff [seq] is
-    given (see the sensitivity contract above). [reset] (default no-op)
-    must restore every ref and mutable record captured by the callbacks to
-    the exact value it held when [make] returned — the contract that makes
-    {!Kernel.reset} replay equivalent to a fresh build. *)
+    raises [Invalid_argument] naming the component. [state] defaults to
+    [true] iff [seq] is given (see the sensitivity contract above).
+    [reset] (default no-op) must restore every ref and mutable record
+    captured by the callbacks to the exact value it held when [make]
+    returned — the contract that makes {!Kernel.reset} replay equivalent to
+    a fresh build. *)
 
 val name : t -> string
-val sensitivity : t -> sensitivity

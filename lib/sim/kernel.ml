@@ -39,7 +39,6 @@ type t = {
   mutable multi : bool; (* more than one domain registered *)
   mutable components : (Component.t * domain) list; (* reversed *)
   mutable checks : (string * (int -> unit) * domain) list; (* reversed *)
-  mutable hooks : (int -> unit) list; (* reversed *)
   mutable settle_hooks : ((int -> unit) * domain) list; (* reversed *)
   mutable cycle_count : int;
   mutable comb_iters_total : int;
@@ -52,20 +51,18 @@ type t = {
   mutable comp_doms : domain array; (* parallel to [comps_fwd] *)
   mutable checks_fwd : (string * (int -> unit)) array;
   mutable check_doms : domain array; (* parallel to [checks_fwd] *)
-  mutable hooks_fwd : (int -> unit) array;
   mutable settle_hooks_fwd : (int -> unit) array;
   mutable settle_doms : domain array; (* parallel to [settle_hooks_fwd] *)
   mutable edge_comps : Component.t array;
       (* state-sensitive components, re-marked dirty at every settle *)
   mutable order : Component.t array;
       (* what a dirty-set delta pass walks: [comps_fwd] under [`Event];
-         under [`Compiled] the [Always] components, then the combinational
-         [Reads] components in levelized order (see [levelize]) *)
-  mutable has_always : bool;
+         under [`Compiled] the combinational components in levelized order
+         (see [levelize]) *)
   mutable n_dirty : int;
   mutable reset_hooks : (unit -> unit) list; (* reversed *)
       (* design-level reset actions beyond per-component [reset] callbacks:
-         cover watchers, FIFO memories, connect-time side effects a replay
+         coverage samplers, FIFO memories, connect-time side effects a replay
          must reproduce *)
   mutable k_elaborate_ns : int64;
       (* build-phase accounting, distinct from settle time: elaborate is
@@ -133,7 +130,6 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
     obs;
     components = [];
     checks = [];
-    hooks = [];
     settle_hooks = [];
     cycle_count = 0;
     comb_iters_total = 0;
@@ -144,12 +140,10 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
     comp_doms = [||];
     checks_fwd = [||];
     check_doms = [||];
-    hooks_fwd = [||];
     settle_hooks_fwd = [||];
     settle_doms = [||];
     edge_comps = [||];
     order = [||];
-    has_always = false;
     n_dirty = 0;
     reset_hooks = [];
     k_elaborate_ns = 0L;
@@ -164,9 +158,7 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
   }
 
 let base_domain t = t.base
-let domain_name d = d.d_name
 let domain_period d = d.d_period
-let domain_phase d = d.d_phase
 let domain_cycles d = d.d_cycles
 
 let find_domain t name =
@@ -202,10 +194,6 @@ let add_check t name f = add_check_in t t.base name f
 
 let check_fail ~cycle ~check message = raise (Check_failed { cycle; check; message })
 
-let on_cycle_end t f =
-  t.hooks <- f :: t.hooks;
-  t.sealed <- false
-
 let on_settle_in t d f =
   t.settle_hooks <- (f, d) :: t.settle_hooks;
   t.sealed <- false
@@ -224,10 +212,9 @@ let mark_dirty t (c : Component.t) =
     t.n_dirty <- t.n_dirty + 1
   end
 
-(* [`Compiled]: levelize the combinational [Reads] components from the
+(* [`Compiled]: levelize the combinational components from the
    writer -> reader edges the fan-out listeners reveal, and return them in
-   evaluation order behind the [Always] components (which run first in
-   every pass).
+   evaluation order.
 
    Write discovery is one calibration pass: every comb runs once in
    registration order (exactly the all-dirty first pass the event scheduler
@@ -245,44 +232,33 @@ let mark_dirty t (c : Component.t) =
    seal. Every component leaves dirty, so the first settle evaluates each
    of them once more in the new order. *)
 let levelize t =
-  let cands = ref [] and always = ref [] in
-  Array.iter
-    (fun (c : Component.t) ->
-      match c.Component.sensitivity with
-      | Component.Always -> always := c :: !always
-      | Component.Reads _ -> if c.Component.has_comb then cands := c :: !cands)
-    t.comps_fwd;
-  let cands = Array.of_list (List.rev !cands) in
+  let cands =
+    Array.of_list
+      (List.filter (fun (c : Component.t) -> c.Component.has_comb)
+         (Array.to_list t.comps_fwd))
+  in
   let n = Array.length cands in
   Array.iter (fun (c : Component.t) -> c.Component.dirty <- false) t.comps_fwd;
   t.n_dirty <- 0;
   let succs = Array.make n [] and indeg = Array.make n 0 in
-  (* [u = -1]: an [Always] writer, whose edges the order cannot use *)
   let drain u =
     for v = 0 to n - 1 do
       let c = Array.unsafe_get cands v in
       if c.Component.dirty then begin
         c.Component.dirty <- false;
         t.n_dirty <- t.n_dirty - 1;
-        if u >= 0 && v <> u then begin
+        if v <> u then begin
           succs.(u) <- v :: succs.(u);
           indeg.(v) <- indeg.(v) + 1
         end
       end
     done
   in
-  let next = ref 0 in
-  Array.iter
-    (fun (c : Component.t) ->
-      if c.Component.has_comb then begin
-        c.Component.comb ();
-        match c.Component.sensitivity with
-        | Component.Reads _ ->
-            drain !next;
-            incr next
-        | Component.Always -> drain (-1)
-      end)
-    t.comps_fwd;
+  Array.iteri
+    (fun u (c : Component.t) ->
+      c.Component.comb ();
+      drain u)
+    cands;
   let emitted = Array.make n false in
   let order = Array.make n 0 in
   for pos = 0 to n - 1 do
@@ -302,9 +278,7 @@ let levelize t =
     List.iter (fun v -> indeg.(v) <- indeg.(v) - 1) succs.(u)
   done;
   Array.iter (mark_dirty t) cands;
-  Array.append
-    (Array.of_list (List.rev !always))
-    (Array.map (Array.get cands) order)
+  Array.map (Array.get cands) order
 
 let seal t =
   let t0 = now_ns () in
@@ -318,35 +292,30 @@ let seal t =
   | Some r ->
       t.check_ids <- Array.map (fun (name, _) -> Recorder.intern r name) t.checks_fwd
   | None -> t.check_ids <- [||]);
-  t.hooks_fwd <- Array.of_list (List.rev t.hooks);
   let settles = Array.of_list (List.rev t.settle_hooks) in
   t.settle_hooks_fwd <- Array.map fst settles;
   t.settle_doms <- Array.map snd settles;
-  t.has_always <- false;
   let edge = ref [] in
   Array.iter
     (fun (c : Component.t) ->
-      match c.Component.sensitivity with
-      | Component.Always -> t.has_always <- true
-      | Component.Reads { signals; edge = e } ->
-          if e && c.Component.has_comb then edge := c :: !edge;
-          if t.sched <> `Sweep && c.Component.reg_gen <> t.gen then begin
-            (* a component migrating from an earlier kernel may carry that
-               kernel's dirty bit; clear it before this kernel counts it *)
-            if c.Component.reg_gen <> 0 then c.Component.dirty <- false;
-            c.Component.reg_gen <- t.gen;
-            (* the generation guard inside the listener turns a stale
-               kernel's fan-out into no-ops once a later kernel takes over
-               the component *)
-            List.iter
-              (fun s ->
-                Signal.on_change s (fun () ->
-                    if c.Component.reg_gen = t.gen then mark_dirty t c))
-              signals;
-            (* newly registered components evaluate once to establish their
-               outputs, exactly like the sweep's first pass would *)
-            if c.Component.has_comb then mark_dirty t c
-          end)
+      if c.Component.edge then edge := c :: !edge;
+      if t.sched <> `Sweep && c.Component.reg_gen <> t.gen then begin
+        (* a component migrating from an earlier kernel may carry that
+           kernel's dirty bit; clear it before this kernel counts it *)
+        if c.Component.reg_gen <> 0 then c.Component.dirty <- false;
+        c.Component.reg_gen <- t.gen;
+        (* the generation guard inside the listener turns a stale kernel's
+           fan-out into no-ops once a later kernel takes over the
+           component *)
+        List.iter
+          (fun s ->
+            Signal.on_change s (fun () ->
+                if c.Component.reg_gen = t.gen then mark_dirty t c))
+          c.Component.reads;
+        (* newly registered components evaluate once to establish their
+           outputs, exactly like the sweep's first pass would *)
+        if c.Component.has_comb then mark_dirty t c
+      end)
     t.comps_fwd;
   t.edge_comps <- Array.of_list (List.rev !edge);
   let compile_delta =
@@ -387,18 +356,9 @@ let event_pass t =
   let evals = ref 0 in
   for i = 0 to Array.length comps - 1 do
     let c = Array.unsafe_get comps i in
-    let run =
-      match c.Component.sensitivity with
-      | Component.Always -> true
-      | Component.Reads _ ->
-          c.Component.dirty
-          && begin
-               c.Component.dirty <- false;
-               t.n_dirty <- t.n_dirty - 1;
-               true
-             end
-    in
-    if run then begin
+    if c.Component.dirty then begin
+      c.Component.dirty <- false;
+      t.n_dirty <- t.n_dirty - 1;
       c.Component.comb ();
       (match t.rec_ with None -> () | Some r -> record_eval r c);
       incr evals
@@ -437,15 +397,12 @@ let settle_event t =
     mark_dirty t (Array.unsafe_get edge i)
   done;
   let executed = ref 0 and productive = ref 0 in
-  let again = ref (t.n_dirty > 0 || t.has_always) in
-  while !again do
+  while t.n_dirty > 0 do
     if !executed >= t.max_comb_iters then diverged t !executed;
     let before = Signal.change_count () in
     t.comb_evals_total <- t.comb_evals_total + event_pass t;
-    let changed = Signal.change_count () <> before in
-    if changed then incr productive;
-    incr executed;
-    again := (changed || t.n_dirty > 0) && (t.n_dirty > 0 || t.has_always)
+    if Signal.change_count () <> before then incr productive;
+    incr executed
   done;
   !productive
 
@@ -542,11 +499,7 @@ let cycle t =
   Signal.commit_pending ();
   count_edges tick t.domains;
   t.cycle_count <- t.cycle_count + 1;
-  if Obs.active t.obs then Metrics.incr t.cycles_counter;
-  let hooks = t.hooks_fwd in
-  for i = 0 to Array.length hooks - 1 do
-    (Array.unsafe_get hooks i) t.cycle_count
-  done
+  if Obs.active t.obs then Metrics.incr t.cycles_counter
 
 let run t n =
   for _ = 1 to n do
@@ -612,7 +565,7 @@ let reset ?sched t =
   t.k_seal_ns <- 0L;
   t.k_compile_ns <- 0L;
   (* unseal; clear dirty bookkeeping, then queue every combinational
-     [Reads] component for the first pass — the state a fresh kernel
+     component for the first pass — the state a fresh kernel
      reaches right before its first seal marks them. Components whose
      listeners are already registered with this kernel (reg_gen = gen) are
      skipped by the next seal's registration loop, so the marks below stand
@@ -621,10 +574,7 @@ let reset ?sched t =
   List.iter (fun ((c : Component.t), _) -> c.Component.dirty <- false) t.components;
   t.n_dirty <- 0;
   List.iter
-    (fun ((c : Component.t), _) ->
-      match c.Component.sensitivity with
-      | Component.Reads _ when c.Component.has_comb -> mark_dirty t c
-      | _ -> ())
+    (fun ((c : Component.t), _) -> if c.Component.has_comb then mark_dirty t c)
     t.components;
   (* component-local state first, then design-level hooks, both in
      registration order (the order the build created that state in) *)

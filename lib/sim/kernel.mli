@@ -6,26 +6,26 @@
       registration order, until no signal changes (fixpoint) — raising
       {!Comb_divergence} after [max_comb_iters] delta passes;
     + run every check registered with {!add_check} (protocol monitors);
+    + fire the settle hooks (tracing, coverage);
     + run every component's [seq] callback (all observe settled pre-edge
-      values) and commit their deferred writes simultaneously;
-    + fire end-of-cycle hooks (tracing).
+      values) and commit their deferred writes simultaneously.
 
     {1 Scheduling}
 
     Under the default [`Event] scheduler the kernel keeps a dirty set: a
     delta pass only re-evaluates components whose declared sensitivities
-    (see {!Component.make}) changed — via a signal fan-out listener, a clock
-    edge (state-sensitive components), or the legacy always-dirty fallback.
+    (see {!Component.make}) changed — via a signal fan-out listener or a
+    clock edge (state-sensitive components).
     The [`Sweep] scheduler is the original behaviour — every component on
-    every pass — kept for the E14 ablation and as a migration oracle.
+    every pass — kept for the E14 ablation and as the reference oracle.
 
     The [`Compiled] scheduler is the same dirty set, walked in levelized
     order: at seal time one calibration pass evaluates every component in
     registration order and reads the writer→reader edges off the dirty
     flags the fan-out listeners raise; Kahn's algorithm (lowest
     registration index breaking ties and cycles) orders the combinational
-    components behind the [Always] ones, so a value usually propagates
-    through a chain in one delta pass. Dirtiness comes only from the
+    components, so a value usually propagates through a chain in one delta
+    pass. Dirtiness comes only from the
     declared sensitivity lists, through the same listeners as [`Event].
     All three schedulers produce identical settled values, cycle counts,
     and traces for components whose sensitivity declarations are accurate;
@@ -135,9 +135,7 @@ val add_domain : t -> name:string -> ?phase:int -> period:int -> unit -> domain
     unambiguous. *)
 
 val find_domain : t -> string -> domain option
-val domain_name : domain -> string
 val domain_period : domain -> int
-val domain_phase : domain -> int
 
 val domain_cycles : domain -> int
 (** Edges fired so far — the domain-local cycle counter. For the base
@@ -172,11 +170,6 @@ val add_check_in : t -> domain -> string -> (int -> unit) -> unit
 
 val check_fail : cycle:int -> check:string -> string -> 'a
 (** Raise a {!Check_failed}. *)
-
-val on_cycle_end : t -> (int -> unit) -> unit
-(** Hook fired after the registered updates commit (post-edge view:
-    registered outputs show their new values, combinational signals still
-    show the finished cycle's). *)
 
 val on_settle : t -> (int -> unit) -> unit
 (** Tracing hook fired after the comb fixpoint and the protocol checks but
@@ -245,5 +238,5 @@ val reset : ?sched:sched -> t -> unit
 
 val at_reset : t -> (unit -> unit) -> unit
 (** Register a design-level reset action (run after every component's own
-    [reset], in registration order): cover watchers, FIFO memories,
+    [reset], in registration order): coverage samplers, FIFO memories,
     connect-time side effects a replay must reproduce. *)

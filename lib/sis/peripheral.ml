@@ -7,7 +7,7 @@ type t = {
   stubs : ((string * int) * Stub_model.t) list;
 }
 
-let build ?(monitor = true) kernel (spec : Spec.t) ~behaviors =
+let build kernel (spec : Spec.t) ~behaviors =
   let sis = Sis_if.of_spec spec in
   let stubs =
     List.concat_map
@@ -36,7 +36,7 @@ let build ?(monitor = true) kernel (spec : Spec.t) ~behaviors =
   (* stubs first, then the arbiter, so a single settle pass usually suffices *)
   List.iter (fun (_, s) -> Kernel.add kernel (Stub_model.component s)) stubs;
   Kernel.add kernel arbiter;
-  if monitor then Sis_monitor.attach kernel sis;
+  Sis_monitor.attach kernel sis;
   Sis_monitor.attach_tracer kernel sis;
   { spec; sis; stubs }
 

@@ -9,15 +9,14 @@ open Splice_syntax
 type t
 
 val build :
-  ?monitor:bool ->
   Kernel.t ->
   Spec.t ->
   behaviors:(string -> Stub_model.behavior) ->
   t
 (** Instantiates stubs (every instance of every function, ids as assigned by
     the validator) and the arbiter, registers all components with the kernel,
-    and attaches the protocol monitor unless [monitor:false]. [behaviors]
-    maps function names to calculation logic. *)
+    and attaches the SIS protocol monitor and its tracer. [behaviors] maps
+    function names to calculation logic. *)
 
 val sis : t -> Sis_if.t
 val spec : t -> Spec.t

@@ -46,19 +46,6 @@ type directive =
 type item = Directive of Loc.t * directive | Decl of decl
 type file = item list
 
-let directive_name = function
-  | Bus_type _ -> "bus_type"
-  | Bus_width _ -> "bus_width"
-  | Base_address _ -> "base_address"
-  | Burst_support _ -> "burst_support"
-  | Dma_support _ -> "dma_support"
-  | Packing_support _ -> "packing_support"
-  | Interrupt_support _ -> "interrupt_support"
-  | Device_name _ -> "device_name"
-  | Target_hdl _ -> "target_hdl"
-  | User_type _ -> "user_type"
-  | User_struct _ -> "user_struct"
-
 let hdl_lang_to_string = function Vhdl -> "vhdl" | Verilog -> "verilog"
 
 let pp_count fmt = function

@@ -60,7 +60,6 @@ type directive =
 type item = Directive of Loc.t * directive | Decl of decl
 type file = item list
 
-val directive_name : directive -> string
 val hdl_lang_to_string : hdl_lang -> string
 val pp_count : Format.formatter -> count -> unit
 val pp_param : Format.formatter -> param -> unit

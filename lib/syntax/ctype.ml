@@ -91,7 +91,4 @@ let add_struct env ~name ~fields =
 let struct_fields env name = List.assoc_opt name env.structs
 let structs env = env.structs
 
-let is_known_name env name =
-  List.mem_assoc name env.table || List.exists (fun (ws, _) -> List.mem name ws) multi_word
-
 let user_types env = env.users

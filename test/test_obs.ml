@@ -159,7 +159,7 @@ let kernel_tests =
         let s = Signal.create 8 in
         let n = ref 0 in
         Kernel.add k
-          (Component.make
+          (Component.make ~reads:[]
              ~comb:(fun () -> Signal.set_int s ((!n + 1) land 0xff))
              ~seq:(fun () -> incr n)
              "counter");

@@ -322,9 +322,12 @@ let server_tests =
                   (str_of r "outcome");
                 check_string "unknown kind echoed" "frobnicate"
                   (str_of r "kind");
-                let r = req c "{\"kind\":\"sleep\",\"ms\":-1}" in
+                let r = req c "{\"kind\":\"sleep\",\"ms\":-1,\"id\":3}" in
                 check_string "bad field rejected" "rejected"
                   (str_of r "outcome");
+                check_int "rejection echoes the id" 3 (int_of r "id");
+                check_string "rejection echoes the kind" "sleep"
+                  (str_of r "kind");
                 (* request serials keep climbing on one connection *)
                 let a = int_of (req c "{\"kind\":\"ping\"}") "req" in
                 let b = int_of (req c "{\"kind\":\"ping\"}") "req" in
@@ -502,16 +505,31 @@ let server_tests =
                   (has "splice_serve_queue_depth ")
             | Ok (st, _) -> Alcotest.failf "metrics status %d" st
             | Error e -> Alcotest.failf "metrics: %s" e);
-            (match Serve_client.http_get ~port "/stats" with
-            | Ok (200, body) -> (
-                match Json.of_string (String.trim body) with
-                | Ok j ->
-                    check_bool "served count" true (int_of j "served" >= 2);
-                    check_bool "has latency table" true
-                      (Json.member "latency" j <> None)
-                | Error e -> Alcotest.failf "stats not JSON: %s" e)
-            | Ok (st, _) -> Alcotest.failf "stats status %d" st
-            | Error e -> Alcotest.failf "stats: %s" e);
+            let stats () =
+              match Serve_client.http_get ~port "/stats" with
+              | Ok (200, body) -> (
+                  match Json.of_string (String.trim body) with
+                  | Ok j -> j
+                  | Error e -> Alcotest.failf "stats not JSON: %s" e)
+              | Ok (st, _) -> Alcotest.failf "stats status %d" st
+              | Error e -> Alcotest.failf "stats: %s" e
+            in
+            (* uptime comes from the monotonic clock: never negative, never
+               decreasing between two reads *)
+            let uptime j =
+              match Json.member "uptime_s" j with
+              | Some (Json.Float f) -> f
+              | Some (Json.Int i) -> float_of_int i
+              | _ -> Alcotest.failf "stats missing uptime_s"
+            in
+            let j = stats () in
+            check_bool "served count" true (int_of j "served" >= 2);
+            check_bool "has latency table" true
+              (Json.member "latency" j <> None);
+            let u1 = uptime j in
+            let u2 = uptime (stats ()) in
+            check_bool "uptime non-negative" true (u1 >= 0.);
+            check_bool "uptime does not decrease" true (u2 >= u1);
             (match Serve_client.http_get ~port "/nope" with
             | Ok (404, _) -> ()
             | Ok (st, _) -> Alcotest.failf "expected 404, got %d" st

@@ -307,8 +307,14 @@ let kernel_tests =
            at least two passes are needed *)
         let src = Signal.create 8 and w1 = Signal.create 8 and w2 = Signal.create 8 in
         let k = Kernel.create () in
-        Kernel.add k (Component.make ~comb:(fun () -> Signal.set w2 (Signal.get w1)) "w2");
-        Kernel.add k (Component.make ~comb:(fun () -> Signal.set w1 (Signal.get src)) "w1");
+        Kernel.add k
+          (Component.make ~reads:[ w1 ]
+             ~comb:(fun () -> Signal.set w2 (Signal.get w1))
+             "w2");
+        Kernel.add k
+          (Component.make ~reads:[ src ]
+             ~comb:(fun () -> Signal.set w1 (Signal.get src))
+             "w1");
         Signal.set_int src 9;
         Kernel.cycle k;
         check_int "propagated" 9 (Signal.get_int w2));
@@ -316,13 +322,23 @@ let kernel_tests =
         let s = Signal.create 8 in
         let k = Kernel.create ~max_comb_iters:8 () in
         Kernel.add k
-          (Component.make
+          (Component.make ~reads:[ s ]
              ~comb:(fun () -> Signal.set s (Bits.succ (Signal.get s)))
              "oscillator");
         (match Kernel.cycle k with
         | () -> Alcotest.fail "expected divergence"
         | exception Kernel.Comb_divergence _ -> ());
         Signal.clear_pending ());
+    t "a comb without declared reads is rejected at construction" (fun () ->
+        (match Component.make ~comb:ignore "c" with
+        | _ -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument msg ->
+            check_bool "message names the component" true
+              (Astring_contains.contains msg {|"c"|}));
+        (* a comb that reads only its own state declares an empty list *)
+        let c = Component.make ~reads:[] ~state:true ~comb:ignore "own-state" in
+        check_bool "state-only comb re-arms on the clock edge" true
+          c.Component.edge);
     t "cycles counts" (fun () ->
         let k = Kernel.create () in
         Kernel.run k 5;
@@ -348,12 +364,6 @@ let kernel_tests =
         | exception Kernel.Check_failed { check; message; _ } ->
             Alcotest.(check string) "check" "always-fails" check;
             Alcotest.(check string) "msg" "boom" message);
-    t "on_cycle_end hook fires each cycle" (fun () ->
-        let hits = ref [] in
-        let k = Kernel.create () in
-        Kernel.on_cycle_end k (fun c -> hits := c :: !hits);
-        Kernel.run k 3;
-        Alcotest.(check (list int)) "hooks" [ 3; 2; 1 ] !hits);
     t "a component reused by a re-created kernel re-registers" (fun () ->
         reregisters `Event `Event);
     t "a component reused by a re-created kernel re-registers (compiled)"

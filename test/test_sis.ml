@@ -17,10 +17,10 @@ let spec_of ?(bus = "plb") ?(extra = "") decls =
 (* a bare test bench: peripheral + manually driven SIS lines *)
 type bench = { kernel : Kernel.t; periph : Peripheral.t; sis : Sis_if.t }
 
-let bench ?(monitor = true) ?(behaviors = fun _ -> Stub_model.null_behavior) decls =
+let bench ?(behaviors = fun _ -> Stub_model.null_behavior) decls =
   let spec = spec_of decls in
   let kernel = Kernel.create () in
-  let periph = Peripheral.build ~monitor kernel spec ~behaviors in
+  let periph = Peripheral.build kernel spec ~behaviors in
   { kernel; periph; sis = Peripheral.sis periph }
 
 (* the test bench drives the SIS lines combinationally (like an adapter
