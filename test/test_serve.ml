@@ -148,6 +148,41 @@ let protocol_tests =
         check_bool "unknown sched" true
           (is_infix ~affix:"sched"
              (err "{\"kind\":\"fuzz\",\"seed\":1,\"sched\":\"fastest\"}")));
+    t "parse: a decoded line parses like its text" (fun () ->
+        (* the daemon decodes each line once and hands the result to
+           [parse]; a decode error is rejected as malformed JSON *)
+        (match Serve_protocol.parse (Error "boom") with
+        | Error e ->
+            check_bool "names malformed JSON" true
+              (is_infix ~affix:"malformed JSON" e);
+            check_bool "carries the decode error" true
+              (is_infix ~affix:"boom" e)
+        | Ok _ -> Alcotest.fail "a decode error was accepted");
+        List.iter
+          (fun line ->
+            let kind = function
+              | Ok r -> Ok (Serve_protocol.kind_name r)
+              | Error e -> Error e
+            in
+            Alcotest.(check (result string string))
+              line
+              (kind (Serve_protocol.parse_line line))
+              (kind (Serve_protocol.parse (Json.of_string line))))
+          [
+            "{\"kind\":\"ping\"}";
+            "{\"kind\":\"sleep\",\"ms\":5}";
+            "{\"kind\":\"fuzz\",\"seed\":1,\"count\":2}";
+            "{\"kind\":\"frobnicate\"}";
+            "[1,2]";
+            "{nope";
+          ];
+        match
+          Serve_protocol.parse
+            (Ok (Json.Obj [ ("kind", Json.String "sleep"); ("ms", Json.Int 5) ]))
+        with
+        | Ok (Serve_protocol.Sleep { ms }) -> check_int "ms" 5 ms
+        | Ok _ -> Alcotest.fail "parsed as a different kind"
+        | Error e -> Alcotest.failf "did not parse: %s" e);
     t "parse: a full fuzz request round-trips every field" (fun () ->
         match
           Serve_protocol.parse_line

@@ -364,6 +364,46 @@ let kernel_tests =
         | exception Kernel.Check_failed { check; message; _ } ->
             Alcotest.(check string) "check" "always-fails" check;
             Alcotest.(check string) "msg" "boom" message);
+    t "settle hooks fire once per cycle on the settled pre-edge view"
+      (fun () ->
+        (* one hook call per tick, after the comb fixpoint and before the
+           edge: a glitching comb shows only its final value, a register
+           its pre-edge value, and a reads-free constant driver has run by
+           the first settle (seal marks every comb dirty) *)
+        List.iter
+          (fun sched ->
+            let src = Signal.create 8
+            and out = Signal.create 8
+            and cst = Signal.create 8
+            and r = Signal.create 8 in
+            let k = Kernel.create ~sched () in
+            Kernel.add k
+              (Component.make ~reads:[]
+                 ~comb:(fun () -> Signal.set_int cst 7)
+                 "const");
+            Kernel.add k
+              (Component.make ~reads:[ src ]
+                 ~comb:(fun () ->
+                   Signal.set_int out 3;
+                   Signal.set_int out (Signal.get_int src + 5))
+                 "glitch");
+            Kernel.add k
+              (Component.make
+                 ~seq:(fun () -> Signal.set_next_int r (Signal.get_int r + 1))
+                 "reg");
+            let seen = ref [] in
+            Kernel.on_settle k (fun tick ->
+                seen :=
+                  (tick, Signal.get_int out, Signal.get_int cst,
+                   Signal.get_int r)
+                  :: !seen);
+            Signal.set_int src 9;
+            Kernel.run k 3;
+            Alcotest.(check (list (pair int (pair int (pair int int)))))
+              "ticks, settled comb, constant, pre-edge register"
+              [ (0, (14, (7, 0))); (1, (14, (7, 1))); (2, (14, (7, 2))) ]
+              (List.rev_map (fun (t, o, c, r) -> (t, (o, (c, r)))) !seen))
+          [ `Event; `Compiled ]);
     t "a component reused by a re-created kernel re-registers" (fun () ->
         reregisters `Event `Event);
     t "a component reused by a re-created kernel re-registers (compiled)"
