@@ -5,7 +5,7 @@ open Splice_obs
 
 type state =
   | Idle
-  | Overhead of int * Op.t
+  | Overhead of Op.t  (* [overhead_left] cycles before the issue *)
   | Issue of Op.t
   | Wait_bus of Op.t
   | Poll_issue of int  (* func id *)
@@ -20,6 +20,7 @@ type t = {
   issue_overhead : int;
   wait_mode : [ `Null | `Poll | `Irq ];
   mutable state : state;
+  mutable overhead_left : int;
   mutable prog : Op.t list;
   mutable reads : Bits.t list;  (* reversed *)
   mutable polls : int;
@@ -69,8 +70,11 @@ let next_op t =
   | [] -> t.state <- Idle
   | op :: rest ->
       t.prog <- rest;
-      t.state <-
-        (if t.issue_overhead > 0 then Overhead (t.issue_overhead, op) else Issue op)
+      if t.issue_overhead > 0 then begin
+        t.overhead_left <- t.issue_overhead;
+        t.state <- Overhead op
+      end
+      else t.state <- Issue op
 
 let req_of_op op =
   let id = Op.func_id op in
@@ -89,9 +93,10 @@ let req_of_op op =
 let seq t () =
   match t.state with
   | Idle -> ()
-  | Overhead (n, op) ->
+  | Overhead op ->
       if Obs.active t.obs then Metrics.incr t.m_overhead;
-      if n <= 1 then t.state <- Issue op else t.state <- Overhead (n - 1, op)
+      if t.overhead_left <= 1 then t.state <- Issue op
+      else t.overhead_left <- t.overhead_left - 1
   | Issue op -> (
       if Obs.active t.obs then begin
         Metrics.incr t.m_ops;
@@ -161,6 +166,7 @@ let make ?(obs = Obs.none) ?(issue_overhead = 1) ?wait_mode port =
       issue_overhead;
       wait_mode;
       state = Idle;
+      overhead_left = 0;
       prog = [];
       reads = [];
       polls = 0;
@@ -176,6 +182,7 @@ let make ?(obs = Obs.none) ?(issue_overhead = 1) ?wait_mode port =
     Component.make ~seq:(seq t)
       ~reset:(fun () ->
         t.state <- Idle;
+        t.overhead_left <- 0;
         t.prog <- [];
         t.reads <- [];
         t.polls <- 0;

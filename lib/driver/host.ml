@@ -138,12 +138,12 @@ let prepare_reuse t =
 
 (* Rewind the host to its end-of-elaboration state so the next run replays
    byte-identically to a fresh build. Order matters:
-   + detach the domain recorder first — reset hooks may drive signals, and
-     those writes must not land in the (about-to-be-truncated) ring;
    + drop this design's leaked pending writes before the hooks re-queue
      construction-time deferred writes;
-   + [Kernel.reset] restores closure state (per-component [reset] +
-     [at_reset] hooks) and unseals;
+   + [Kernel.reset] detaches the domain recorder (reset hooks may drive
+     signals, and those writes must not land in the about-to-be-truncated
+     ring), restores closure state (per-component [reset] + [at_reset]
+     hooks) and unseals;
    + then blast the snapshotted signal values over everything the hooks
      touched — construction-time values win, exactly the state a fresh
      build hands to its first cycle;
@@ -151,7 +151,6 @@ let prepare_reuse t =
    The first replay cycle re-seals under whichever scheduler the kernel now
    targets, exactly as a fresh build's first cycle does. *)
 let reset ?sched t r =
-  Signal.attach_recorder None;
   Signal.clear_pending_for ~owner:(Kernel.id t.kernel);
   Kernel.reset ?sched t.kernel;
   Array.iteri (fun i s -> Signal.restore_value s r.r_values.(i)) r.r_signals;

@@ -68,17 +68,21 @@ let histogram ?(limits = default_limits) t name =
       t.histograms <- h :: t.histograms;
       h
 
-let observe h v =
-  h.n <- h.n + 1;
-  h.sum <- h.sum + v;
-  if v < h.vmin then h.vmin <- v;
-  if v > h.vmax then h.vmax <- v;
-  let nl = Array.length h.limits in
-  let i = ref 0 in
-  while !i < nl && v > h.limits.(!i) do
-    Stdlib.incr i
-  done;
-  h.buckets.(!i) <- h.buckets.(!i) + 1
+let observe_n h v k =
+  if k > 0 then begin
+    h.n <- h.n + k;
+    h.sum <- h.sum + (v * k);
+    if v < h.vmin then h.vmin <- v;
+    if v > h.vmax then h.vmax <- v;
+    let nl = Array.length h.limits in
+    let i = ref 0 in
+    while !i < nl && v > h.limits.(!i) do
+      Stdlib.incr i
+    done;
+    h.buckets.(!i) <- h.buckets.(!i) + k
+  end
+
+let observe h v = observe_n h v 1
 
 let observations h = h.n
 let total h = h.sum

@@ -40,6 +40,10 @@ val add : counter -> int -> unit
 val set : gauge -> int -> unit
 val observe : histogram -> int -> unit
 
+val observe_n : histogram -> int -> int -> unit
+(** [observe_n h v k] is [k] calls of [observe h v] (none when [k <= 0]):
+    how counts kept in plain fields on a hot path are published. *)
+
 (** {1 Marks (design-cache replay)} *)
 
 type mark

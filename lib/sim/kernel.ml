@@ -34,6 +34,10 @@ type t = {
          re-registers there and this kernel's listeners turn into no-ops
          instead of corrupting a dead kernel's dirty count *)
   obs : Obs.t;
+  store : Signal.store;
+      (* the creating domain's signal store, resolved once: every settle
+         and commit uses it, and each run checks it is still the running
+         domain's *)
   base : domain;
   mutable domains : domain list; (* reversed; always contains [base] *)
   mutable multi : bool; (* more than one domain registered *)
@@ -44,6 +48,14 @@ type t = {
   mutable comb_iters_total : int;
   mutable comb_evals_total : int;
   mutable checks_run_total : int;
+  iter_counts : int array;
+      (* settles per productive delta-pass count (index = iterations), not
+         yet folded into [comb_hist] *)
+  (* the counter values last published to the registry *)
+  mutable pub_cycles : int;
+  mutable pub_evals : int;
+  mutable pub_checks : int;
+  mutable publish_hooks : (unit -> unit) list;
   (* forward-order caches, rebuilt lazily whenever a registration list
      changes (sealing); cycle/settle never traverse the reversed lists *)
   mutable sealed : bool;
@@ -128,6 +140,7 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
     max_comb_iters;
     sched;
     obs;
+    store = Signal.store ();
     components = [];
     checks = [];
     settle_hooks = [];
@@ -135,6 +148,11 @@ let create ?(max_comb_iters = 64) ?(sched = `Event) ?obs () =
     comb_iters_total = 0;
     comb_evals_total = 0;
     checks_run_total = 0;
+    iter_counts = Array.make (max 0 max_comb_iters + 1) 0;
+    pub_cycles = 0;
+    pub_evals = 0;
+    pub_checks = 0;
+    publish_hooks = [];
     sealed = false;
     comps_fwd = [||];
     comp_doms = [||];
@@ -199,6 +217,7 @@ let on_settle_in t d f =
   t.sealed <- false
 
 let on_settle t f = on_settle_in t t.base f
+let on_publish t f = t.publish_hooks <- t.publish_hooks @ [ f ]
 
 let rehome_all t d =
   t.components <- List.map (fun (c, _) -> (c, d)) t.components;
@@ -381,9 +400,9 @@ let settle_sweep t =
   let executed = ref 0 and productive = ref 0 and again = ref true in
   while !again do
     if !executed >= t.max_comb_iters then diverged t !executed;
-    let before = Signal.change_count () in
+    let before = Signal.change_count t.store in
     t.comb_evals_total <- t.comb_evals_total + sweep_pass t;
-    again := Signal.change_count () <> before;
+    again := Signal.change_count t.store <> before;
     if !again then begin
       incr executed;
       incr productive
@@ -399,9 +418,9 @@ let settle_event t =
   let executed = ref 0 and productive = ref 0 in
   while t.n_dirty > 0 do
     if !executed >= t.max_comb_iters then diverged t !executed;
-    let before = Signal.change_count () in
+    let before = Signal.change_count t.store in
     t.comb_evals_total <- t.comb_evals_total + event_pass t;
-    if Signal.change_count () <> before then incr productive;
+    if Signal.change_count t.store <> before then incr productive;
     incr executed
   done;
   !productive
@@ -422,10 +441,7 @@ let settle t =
         raise e
   in
   t.comb_iters_total <- t.comb_iters_total + iters;
-  if Obs.active t.obs then begin
-    Metrics.observe t.comb_hist iters;
-    Metrics.add t.evals_counter (t.comb_evals_total - evals_before)
-  end;
+  t.iter_counts.(iters) <- t.iter_counts.(iters) + 1;
   match t.rec_ with
   | Some r -> Recorder.sched_pass r ~subject:t.rec_kernel_id ~iters
   | None -> ()
@@ -452,14 +468,14 @@ let rec count_edges tick = function
       if dom_fires d tick then d.d_cycles <- d.d_cycles + 1;
       count_edges tick ds
 
-let cycle t =
+let step t =
   (* guarded: [Obs.none] is one value shared by every kernel that opted
      out, including kernels in other pool domains — never write to it *)
   if Obs.active t.obs then Obs.set_now t.obs t.cycle_count;
   (* (re-)point the domain-local signal store at this kernel's recorder —
      [None] detaches, so an opted-out kernel never records into the ring
      of whichever instrumented kernel ran before it in this domain *)
-  Signal.attach_recorder t.rec_;
+  Signal.attach_recorder t.store t.rec_;
   settle t;
   let tick = t.cycle_count in
   (* [multi] gates every per-item domain test off the single-clock hot
@@ -479,10 +495,7 @@ let cycle t =
           Recorder.check_fail r ~subject:(Recorder.intern r check) ~message;
           raise e)
   in
-  if checks_ran > 0 then begin
-    t.checks_run_total <- t.checks_run_total + checks_ran;
-    if Obs.active t.obs then Metrics.add t.checks_counter checks_ran
-  end;
+  t.checks_run_total <- t.checks_run_total + checks_ran;
   let settles = t.settle_hooks_fwd in
   for i = 0 to Array.length settles - 1 do
     if (not t.multi) || dom_fires (Array.unsafe_get t.settle_doms i) tick then
@@ -496,17 +509,53 @@ let cycle t =
     if (not t.multi) || dom_fires (Array.unsafe_get t.comp_doms i) tick then
       (Array.unsafe_get comps i).Component.seq ()
   done;
-  Signal.commit_pending ();
+  Signal.commit_pending t.store;
   count_edges tick t.domains;
-  t.cycle_count <- t.cycle_count + 1;
-  if Obs.active t.obs then Metrics.incr t.cycles_counter
+  t.cycle_count <- t.cycle_count + 1
+
+(* The per-cycle path counts in plain fields; the registry sees the counts
+   once per run, when it returns or raises, so a failure dump taken after a
+   [Check_failed] holds exactly what per-cycle recording held. A settle
+   records its iteration count only when it completes, checks only when
+   they all pass, a cycle only when it ends. *)
+let publish t =
+  if Obs.active t.obs then begin
+    Metrics.add t.cycles_counter (t.cycle_count - t.pub_cycles);
+    Metrics.add t.evals_counter (t.comb_evals_total - t.pub_evals);
+    Metrics.add t.checks_counter (t.checks_run_total - t.pub_checks);
+    for iters = 0 to Array.length t.iter_counts - 1 do
+      Metrics.observe_n t.comb_hist iters t.iter_counts.(iters);
+      t.iter_counts.(iters) <- 0
+    done;
+    t.pub_cycles <- t.cycle_count;
+    t.pub_evals <- t.comb_evals_total;
+    t.pub_checks <- t.checks_run_total
+  end;
+  List.iter (fun f -> f ()) t.publish_hooks
+
+(* a kernel cycles only in the domain that created it: its cached store is
+   that domain's, and another domain's writes would land elsewhere *)
+let running t f =
+  if Signal.store () != t.store then
+    invalid_arg "Kernel: cycled from a domain other than the one that created it";
+  match f () with
+  | v ->
+      publish t;
+      v
+  | exception e ->
+      publish t;
+      raise e
+
+let cycle t = running t (fun () -> step t)
 
 let run t n =
-  for _ = 1 to n do
-    cycle t
-  done
+  running t (fun () ->
+      for _ = 1 to n do
+        step t
+      done)
 
 let run_until ?(max = 100_000) ?(what = "condition") t p =
+  running t @@ fun () ->
   let start = t.cycle_count in
   let rec go () =
     if p () then t.cycle_count - start
@@ -519,7 +568,7 @@ let run_until ?(max = 100_000) ?(what = "condition") t p =
              waiting_for = what;
            })
     else begin
-      cycle t;
+      step t;
       go ()
     end
   in
@@ -555,12 +604,18 @@ let at_reset t f = t.reset_hooks <- f :: t.reset_hooks
    re-levelizing from the restored values — exactly the sequence a fresh
    host executes, which is what makes replay outputs bit-equal. *)
 let reset ?sched t =
+  (* reset hooks may drive signals: record none of it *)
+  Signal.attach_recorder t.store None;
   (match sched with Some s -> t.sched <- s | None -> ());
   t.cycle_count <- 0;
   List.iter (fun d -> d.d_cycles <- 0) t.domains;
   t.comb_iters_total <- 0;
   t.comb_evals_total <- 0;
   t.checks_run_total <- 0;
+  Array.fill t.iter_counts 0 (Array.length t.iter_counts) 0;
+  t.pub_cycles <- 0;
+  t.pub_evals <- 0;
+  t.pub_checks <- 0;
   t.k_elaborate_ns <- 0L;
   t.k_seal_ns <- 0L;
   t.k_compile_ns <- 0L;

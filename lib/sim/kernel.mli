@@ -48,7 +48,14 @@
 
     Every kernel owns a {!Splice_obs.Obs.t} observability context (cycle
     histogram of delta passes, cycle/check/eval counters); instrumented
-    components reach it through {!obs}.
+    components reach it through {!obs}. The per-cycle path keeps these
+    counts in plain fields and publishes them to the registry once, when
+    {!cycle}, {!run} or {!run_until} returns or raises; {!on_publish} lets
+    monitors do the same.
+
+    A kernel belongs to the domain that created it: it resolves that
+    domain's signal store once, at {!create}, and every entry point checks
+    that it is running in that domain.
 
     When the context carries a flight recorder ([Obs.recorder], the
     default), the kernel additionally records the post-mortem event
@@ -179,7 +186,16 @@ val on_settle : t -> (int -> unit) -> unit
 val on_settle_in : t -> domain -> (int -> unit) -> unit
 (** Domain-gated {!on_settle}: fires only on ticks with a [domain] edge. *)
 
+val on_publish : t -> (unit -> unit) -> unit
+(** Register a hook run, in registration order, each time {!cycle},
+    {!run} or {!run_until} returns or raises (after the kernel publishes
+    its own counters). A monitor that counts per-cycle events in plain
+    fields folds them into the registry here. *)
+
 val cycle : t -> unit
+(** One cycle. Like {!run} and {!run_until}, raises [Invalid_argument]
+    when called from a domain other than the kernel's. *)
+
 val run : t -> int -> unit
 (** [run k n] executes [n] cycles. *)
 
@@ -234,7 +250,9 @@ val now_ns : unit -> int64
 
 val reset : ?sched:sched -> t -> unit
 (** Rewind to the end-of-elaboration state; [sched] re-targets the kernel
-    to a different scheduler (the cache's scheduler-switching reuse). *)
+    to a different scheduler (the cache's scheduler-switching reuse). The
+    domain's flight recorder is detached first, so signal writes made by
+    reset actions are never recorded. *)
 
 val at_reset : t -> (unit -> unit) -> unit
 (** Register a design-level reset action (run after every component's own

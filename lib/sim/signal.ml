@@ -25,6 +25,9 @@ type t = {
   mutable rec_id : int;
       (* cached flight-recorder intern id, valid while rec_stamp matches the
          attached recorder's stamp — a recorded transition never hashes *)
+  store : store;
+      (* the store of the domain that created the signal, resolved once
+         here so a write or a change never looks it up *)
   mutable owner : int;
       (* id of the kernel whose design this signal belongs to (0 = none);
          stamped by the host at build time so pending-write cleanup after
@@ -32,43 +35,16 @@ type t = {
          dropping every queued write in the domain *)
 }
 
-let narrow_zero = Bits.zero 1
-
-(* array filler for the pending queue; never written through *)
-let dummy =
-  {
-    name = "";
-    width = 1;
-    mask = 1;
-    v = 0;
-    wide = narrow_zero;
-    listeners = [];
-    commit_stamp = 0;
-    rec_stamp = 0;
-    rec_id = -1;
-    owner = 0;
-  }
-
 (* The deferred-write queue: parallel arrays in write order (oldest at 0),
    grown by doubling and reused across cycles, so a [set_next*] costs three
    array stores and no allocation. [q_wide] is written only for 64-bit
    signals. *)
-type queue = {
+and queue = {
   mutable q_sig : t array;
   mutable q_int : int array;
   mutable q_wide : Bits.t array;
   mutable q_len : int;
 }
-
-let queue_capacity = 64
-
-let make_queue () =
-  {
-    q_sig = Array.make queue_capacity dummy;
-    q_int = Array.make queue_capacity 0;
-    q_wide = Array.make queue_capacity narrow_zero;
-    q_len = 0;
-  }
 
 (* The signal store (change counter, deferred-write queue, name counter,
    commit epoch) used to be module-global refs. Parallel grids run one
@@ -76,7 +52,7 @@ let make_queue () =
    own queue and fixpoint counter, and concurrent kernels in different
    domains never race. Within one domain the old single-kernel-at-a-time
    discipline still applies. *)
-type store = {
+and store = {
   mutable changes : int;
   mutable pending : queue;
   mutable spare : queue;
@@ -91,6 +67,48 @@ type store = {
       (* when [Some], [create] conses every new signal here (newest first) —
          the host's build-time recording window (see [record_created]) *)
 }
+
+let narrow_zero = Bits.zero 1
+
+let empty_queue = { q_sig = [||]; q_int = [||]; q_wide = [||]; q_len = 0 }
+
+(* array filler for the pending queue; never written through, and its store
+   is never used *)
+let rec dummy =
+  {
+    name = "";
+    width = 1;
+    mask = 1;
+    v = 0;
+    wide = narrow_zero;
+    listeners = [];
+    commit_stamp = 0;
+    rec_stamp = 0;
+    rec_id = -1;
+    store = dummy_store;
+    owner = 0;
+  }
+
+and dummy_store =
+  {
+    changes = 0;
+    pending = empty_queue;
+    spare = empty_queue;
+    counter = 0;
+    commit_epoch = 0;
+    s_recorder = None;
+    s_created = None;
+  }
+
+let queue_capacity = 64
+
+let make_queue () =
+  {
+    q_sig = Array.make queue_capacity dummy;
+    q_int = Array.make queue_capacity 0;
+    q_wide = Array.make queue_capacity narrow_zero;
+    q_len = 0;
+  }
 
 let store_key : store Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
@@ -124,6 +142,7 @@ let create ?name width =
       commit_stamp = 0;
       rec_stamp = 0;
       rec_id = -1;
+      store = st;
       owner = 0;
     }
   in
@@ -154,7 +173,7 @@ let holds t b =
 
 let on_change t f = t.listeners <- f :: t.listeners
 
-let attach_recorder r = (store ()).s_recorder <- r
+let attach_recorder st r = st.s_recorder <- r
 
 (* cold only on the first transition per (signal, recorder) pair *)
 let record_change r t =
@@ -179,7 +198,7 @@ let rec fire = function
 (* an actual change just became visible: count it, record it, then fan
    out *)
 let changed t =
-  let st = store () in
+  let st = t.store in
   st.changes <- st.changes + 1;
   (match st.s_recorder with None -> () | Some r -> record_change r t);
   fire t.listeners
@@ -239,13 +258,13 @@ let slot q =
   i
 
 let push_int t v =
-  let q = (store ()).pending in
+  let q = t.store.pending in
   let i = slot q in
   Array.unsafe_set q.q_sig i t;
   Array.unsafe_set q.q_int i v
 
 let push_wide t b =
-  let q = (store ()).pending in
+  let q = t.store.pending in
   let i = slot q in
   Array.unsafe_set q.q_sig i t;
   Array.unsafe_set q.q_wide i b
@@ -266,9 +285,9 @@ let assign_next ~dst ~src =
   if src.width <> dst.width then mismatch "assign_next" dst src.width;
   if is_wide dst then push_wide dst src.wide else push_int dst src.v
 
-let change_count () = (store ()).changes
+let change_count st = st.changes
 
-let commit_pending () =
+let commit_pending st =
   (* Last write wins: the queue is applied newest-first, so the first write
      stamped with the current epoch shadows any older queued writes to the
      same signal — a single O(n) scan, no membership lists.
@@ -278,7 +297,6 @@ let commit_pending () =
      the next cycle cannot silently replay the stale writes. Epoch stamps
      need no restoring — the next commit bumps the epoch, so half-applied
      stamps are never mistaken for current ones. *)
-  let st = store () in
   let q = st.pending in
   let n = q.q_len in
   if n > 0 then begin

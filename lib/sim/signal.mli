@@ -8,11 +8,15 @@
     pre-edge values, as in RTL.
 
     The pending queue, change counter and default-name counter are
-    {e domain-local} (one store per OCaml domain, via [Domain.DLS]): within a
-    domain run one {!Kernel} at a time, as before, while pool workers
-    (see [Splice_par.Pool]) each get an independent store — concurrent
-    kernels in different domains never share signal state. Never pass a
-    signal created in one domain to a kernel cycling in another.
+    {e domain-local} (one {!store} per OCaml domain, via [Domain.DLS]):
+    within a domain run one {!Kernel} at a time, as before, while pool
+    workers (see [Splice_par.Pool]) each get an independent store —
+    concurrent kernels in different domains never share signal state.
+    A signal resolves its domain's store once, when it is created, and
+    every later write, queued write and change goes to that store without
+    looking it up again; a kernel does the same at creation. Never pass a
+    signal created in one domain to a kernel cycling in another: its writes
+    would land in a store that kernel never commits.
 
     {1 Storage}
 
@@ -26,6 +30,14 @@
 open Splice_bits
 
 type t
+
+type store
+(** One domain's signal state: the deferred-write queue, the change
+    counter, the attached flight recorder and the default-name counter. *)
+
+val store : unit -> store
+(** The calling domain's store (a [Domain.DLS] read): for cold paths such
+    as kernel creation, never per cycle. *)
 
 val create : ?name:string -> int -> t
 (** [create ~name width] with initial value zero. Raises
@@ -83,9 +95,9 @@ val assign_next : dst:t -> src:t -> unit
 (** Registered wire copy: [set_next dst (get src)] without building a
     [Bits.t]. Raises [Bits.Width_mismatch] when widths differ. *)
 
-val change_count : unit -> int
-(** Domain-local counter incremented whenever any signal actually changes
-    value. *)
+val change_count : store -> int
+(** The store's counter, incremented whenever any of its signals actually
+    changes value. *)
 
 val on_change : t -> (unit -> unit) -> unit
 (** [on_change s f] subscribes [f] to the signal's fan-out list: it fires
@@ -96,19 +108,19 @@ val on_change : t -> (unit -> unit) -> unit
     seal time); listeners must be cheap, must not drive signals, and cannot
     be removed. *)
 
-val attach_recorder : Splice_obs.Recorder.t option -> unit
-(** Point the domain-local signal store at a flight recorder (or detach
-    with [None]): every subsequent {e actual} value change in this domain
+val attach_recorder : store -> Splice_obs.Recorder.t option -> unit
+(** Point a domain's signal store at a flight recorder (or detach
+    with [None]): every subsequent {e actual} value change in that domain
     — immediate {!set} or committed {!set_next} — is recorded as a
     [Signal_change] event. The cycling kernel re-attaches its own
     recorder at the start of every cycle, so interleaved kernels in one
     domain never record into each other's rings. Intern ids are cached on
     the signal (keyed by the recorder's stamp): recording never hashes. *)
 
-val commit_pending : unit -> unit
-(** Apply all queued {!set_next} writes, newest first (so the last write
-    to a signal wins, and changes, recorder events and listener firings
-    follow reverse write order). Called by the kernel. The queue is
+val commit_pending : store -> unit
+(** Apply all of the store's queued {!set_next} writes, newest first (so
+    the last write to a signal wins, and changes, recorder events and
+    listener firings follow reverse write order). Called by the kernel. The queue is
     emptied before any write is applied, so an exception raised mid-commit
     (e.g. by a listener) never leaves stale writes to be replayed by the
     next cycle. *)

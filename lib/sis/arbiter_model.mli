@@ -9,15 +9,8 @@
 
 open Splice_sim
 
-val make :
-  ?obs:Splice_obs.Obs.t ->
-  stubs:(int * Stub_model.ports) list ->
-  Sis_if.t ->
-  Component.t
+val make : stubs:(int * Stub_model.ports) list -> Sis_if.t -> Component.t
 (** [stubs] maps each assigned function id (≥ 1) to that instance's ports.
-    Raises [Invalid_argument] on duplicate or non-positive ids.
-
-    [obs] (default [Obs.none]) receives [arbiter/grants] (total word grants
-    — IO_DONE-high cycles), [arbiter/grants/<id>] per function id, and an
-    [arbiter/wait_cycles] histogram of request-strobe→first-grant
-    latencies. *)
+    Raises [Invalid_argument] on duplicate or non-positive ids. The
+    arbiter is purely combinational; its grant counters are kept by
+    {!Sis_monitor.attach}, which samples the same lines. *)

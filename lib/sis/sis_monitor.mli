@@ -15,22 +15,26 @@
 
 open Splice_sim
 
-val attach : Kernel.t -> Sis_if.t -> unit
+val attach : Kernel.t -> Sis_if.t -> func_ids:int list -> unit
+(** Registers the [sis-protocol] check. The same check counts, into the
+    kernel's [Obs.t], what it sees on the lines it already reads:
 
-val transactions : Sis_if.t -> unit -> int
-(** [let count = transactions sis in ... count ()] — counts completed SIS
-    word transfers (one per IO_DONE-high cycle) when sampled once per cycle
-    from a kernel hook; exposed for tests. Call {!attach} separately. *)
+    - [sis/transactions] (one per IO_DONE-high cycle), [sis/writes] and
+      [sis/reads] (presented word requests);
+    - for the arbiter, [arbiter/grants] (IO_DONE-high cycles),
+      [arbiter/grants/<id>] per id of [func_ids] (the grant goes to the
+      function FUNC_ID selects), and an [arbiter/wait_cycles] histogram
+      of request-strobe→first-grant latencies.
+
+    A cycle is counted only once it completes, so a later check failing
+    that cycle leaves it out. Counts are kept in plain fields and
+    published to the registry whenever a kernel run returns or raises
+    ({!Kernel.on_publish}). Nothing is counted on a kernel wired to
+    [Obs.none]. *)
 
 val attach_tracer : Kernel.t -> Sis_if.t -> unit
-(** Observability companion to {!attach}, recording into the kernel's
-    [Obs.t] from an [on_settle] hook:
-
-    - counters [sis/transactions] (one per IO_DONE-high cycle — the same
-      quantity {!transactions} counts), [sis/writes], [sis/reads]
-      (presented word requests);
-    - when tracing is enabled, one [word] instant per completed word and
-      one [write id=N] / [read id=N] span per SIS word transfer on track
-      [sis] (presentation → IO_DONE, request → DATA_OUT_VALID).
-
-    No-op on a kernel wired to [Obs.none]. *)
+(** Tracing companion to {!attach}: when the kernel's [Obs.t] traces, an
+    [on_settle] hook records one [word] instant per completed word and
+    one [write id=N] / [read id=N] span per SIS word transfer on track
+    [sis] (presentation → IO_DONE, request → DATA_OUT_VALID). Installs
+    nothing otherwise. *)

@@ -9,6 +9,7 @@ open Splice
 let t name f = Alcotest.test_case name `Quick f
 let check_int msg = Alcotest.(check int) msg
 let check_bool msg = Alcotest.(check bool) msg
+let commit () = Signal.commit_pending (Signal.store ())
 
 (* ------------------------------------------------------------------ *)
 (* Keys and LRU                                                        *)
@@ -275,7 +276,7 @@ let retire_tests =
         Signal.set_next a (Bits.of_int ~width:8 0x5a);
         Signal.set_next b (Bits.of_int ~width:8 0x3c);
         Signal.clear_pending_for ~owner:101;
-        Signal.commit_pending ();
+        commit ();
         check_int "a's write was dropped" 0 (Signal.get_int a);
         check_int "b's write survived" 0x3c (Signal.get_int b));
     t "Host.retire cannot bleed into another cached design" (fun () ->
@@ -289,7 +290,7 @@ let retire_tests =
         Signal.set_next sb (Bits.of_int ~width:(Signal.width sb) (vb lxor 1));
         (* aborting a call on A must not drop B's queued writes *)
         Host.retire host_a;
-        Signal.commit_pending ();
+        commit ();
         check_int "A's pending write dropped" va (Signal.get_int sa);
         check_int "B's pending write committed" (vb lxor 1)
           (Signal.get_int sb));

@@ -320,6 +320,76 @@ let diff_tests =
                 Alcotest.(check string) "messages agree" fs.Diff.f_message
                   fp.Diff.f_message
             | _ -> Alcotest.fail "corrupting bus survived a sweep"));
+    t "a check failing after sis-protocol leaves its cycle out of the dump"
+      (fun () ->
+        (* a bus whose own check, registered after sis-protocol, fails on
+           the third IO_DONE-high cycle: sis-protocol has already passed
+           that cycle, but the cycle never completes, so the dump's SIS and
+           arbiter counts must stop at the two words before it *)
+        let module Late = struct
+          include Plb
+
+          let caps = { Plb.caps with Bus_caps.name = "late" }
+
+          let connect kernel spec (sis : Sis_if.t) =
+            let port = Plb.connect kernel spec sis in
+            let words = ref 0 in
+            Kernel.at_reset kernel (fun () -> words := 0);
+            Kernel.add_check kernel "late-protocol" (fun cycle ->
+                if Signal.get_bool sis.Sis_if.io_done then begin
+                  incr words;
+                  if !words = 3 then
+                    Kernel.check_fail ~cycle ~check:"late-protocol" "third word"
+                end);
+            { port with Bus_port.bus_name = "late" }
+        end in
+        Registry.register (module Late);
+        Fun.protect
+          ~finally:(fun () -> Registry.unregister "late")
+          (fun () ->
+            let report =
+              Diff.run
+                { Diff.default_config with seed = 5; count = 1; buses = [ "late" ] }
+            in
+            match report.Diff.r_failure with
+            | None -> Alcotest.fail "the late check never failed"
+            | Some f -> (
+                match Option.map Query.of_string f.Diff.f_dump with
+                | None -> Alcotest.fail "failure carried no dump"
+                | Some (Error e) -> Alcotest.failf "dump does not parse: %s" e
+                | Some (Ok d) ->
+                    let hists =
+                      List.map
+                        (fun (h : Query.hist) ->
+                          Printf.sprintf "%s n=%d sum=%d min=%d max=%d"
+                            h.Query.q_name h.Query.q_count h.Query.q_sum
+                            h.Query.q_min h.Query.q_max)
+                        d.Query.d_histograms
+                    in
+                    Alcotest.(check (list (pair string int)))
+                      "dump counters"
+                      [
+                        ("arbiter/grants", 2); ("arbiter/grants/1", 2);
+                        ("bus/plb/overhead_cycles", 8); ("bus/plb/transfers", 3);
+                        ("bus/plb/wait_states", 4); ("bus/plb/words_read", 1);
+                        ("bus/plb/words_written", 1); ("driver/op/read_single", 2);
+                        ("driver/op/set_address", 1);
+                        ("driver/op/wait_for_results", 1);
+                        ("driver/op/write_single", 1); ("driver/ops", 5);
+                        ("driver/overhead_cycles", 5); ("driver/polls", 0);
+                        ("sim/checks_run", 81); ("sim/comb_evals", 35);
+                        ("sim/cycles", 27); ("sis/reads", 1);
+                        ("sis/transactions", 2); ("sis/writes", 1);
+                      ]
+                      d.Query.d_counters;
+                    Alcotest.(check (list string))
+                      "dump histograms"
+                      [
+                        "arbiter/wait_cycles n=2 sum=4 min=0 max=4";
+                        "bus/plb/burst_words n=3 sum=3 min=1 max=1";
+                        "sim/comb_iters n=28 sum=5 min=0 max=1";
+                      ]
+                      hists)));
   ]
 
 let tests =

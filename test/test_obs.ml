@@ -244,6 +244,51 @@ let sis_tests =
         check_int "one read span" 1
           (List.length
              (List.filter (fun n -> String.length n >= 4 && String.sub n 0 4 = "read") spans)));
+    t "the registry after a Splice PLB scenario-1 call is pinned" (fun () ->
+        (* every counter and histogram the call leaves behind, by sorted
+           name, as per-cycle recording into the registry produced them:
+           where the kernel and the SIS layer count must not change a
+           figure *)
+        let obs = Obs.create () in
+        let host = Interpolator.make_host ~obs Interpolator.Splice_plb_simple in
+        let _, cycles = Interpolator.run host (Interp_scenarios.by_id 1) in
+        check_int "Fig 9.2 cycles" 95 cycles;
+        let m = Obs.metrics obs in
+        let counters =
+          List.map
+            (fun c -> Printf.sprintf "%s %d" (Metrics.counter_name c) (Metrics.count c))
+            (Metrics.counters m)
+        and gauges =
+          List.map
+            (fun g -> Printf.sprintf "%s =%d" (Metrics.gauge_name g) (Metrics.level g))
+            (Metrics.gauges m)
+        and histograms =
+          List.map
+            (fun h ->
+              Printf.sprintf "%s n=%d sum=%d min=%d max=%d [%s]"
+                (Metrics.histogram_name h) (Metrics.observations h)
+                (Metrics.total h) (Metrics.min_value h) (Metrics.max_value h)
+                (String.concat ","
+                   (List.map (fun (_, c) -> string_of_int c) (Metrics.bucket_counts h))))
+            (Metrics.histograms m)
+        in
+        Alcotest.(check (list string))
+          "sorted registry"
+          [
+            "arbiter/grants 9"; "arbiter/grants/1 9";
+            "bus/plb/overhead_cycles 27"; "bus/plb/transfers 9";
+            "bus/plb/wait_states 28"; "bus/plb/words_read 1";
+            "bus/plb/words_written 8"; "driver/op/read_single 1";
+            "driver/op/set_address 1"; "driver/op/wait_for_results 1";
+            "driver/op/write_single 8"; "driver/ops 11";
+            "driver/overhead_cycles 11"; "driver/polls 0";
+            "sim/checks_run 95"; "sim/comb_evals 115"; "sim/cycles 95";
+            "sis/reads 1"; "sis/transactions 9"; "sis/writes 8";
+            "arbiter/wait_cycles n=9 sum=28 min=0 max=28 [8,0,0,0,0,0,1,0,0,0]";
+            "bus/plb/burst_words n=9 sum=9 min=1 max=1 [9,0,0,0,0,0,0,0]";
+            "sim/comb_iters n=95 sum=18 min=0 max=1 [95,0,0,0,0,0,0,0,0,0]";
+          ]
+          (counters @ gauges @ histograms));
     t "Obs.none hosts record nothing" (fun () ->
         let spec = spec_of "void f(int x);" in
         let host =

@@ -7,6 +7,11 @@ let t name f = Alcotest.test_case name `Quick f
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* tests that drive signals without a kernel commit and count through this
+   domain's store, as a kernel created here would *)
+let commit () = Signal.commit_pending (Signal.store ())
+let changes () = Signal.change_count (Signal.store ())
+
 let signal_tests =
   [
     t "initial value is zero" (fun () ->
@@ -25,27 +30,27 @@ let signal_tests =
         let s = Signal.create 8 in
         Signal.set_next_int s 7;
         check_int "not yet" 0 (Signal.get_int s);
-        Signal.commit_pending ();
+        commit ();
         check_int "now" 7 (Signal.get_int s));
     t "last set_next wins" (fun () ->
         let s = Signal.create 8 in
         Signal.set_next_int s 1;
         Signal.set_next_int s 2;
-        Signal.commit_pending ();
+        commit ();
         check_int "last" 2 (Signal.get_int s));
     t "change_count increments only on real change" (fun () ->
         let s = Signal.create 8 in
         Signal.set_int s 5;
-        let c = Signal.change_count () in
+        let c = changes () in
         Signal.set_int s 5;
-        check_int "no change" c (Signal.change_count ());
+        check_int "no change" c (changes ());
         Signal.set_int s 6;
-        check_int "changed" (c + 1) (Signal.change_count ()));
+        check_int "changed" (c + 1) (changes ()));
     t "clear_pending drops writes" (fun () ->
         let s = Signal.create 8 in
         Signal.set_next_int s 9;
         Signal.clear_pending ();
-        Signal.commit_pending ();
+        commit ();
         check_int "dropped" 0 (Signal.get_int s));
     t "commit_pending never replays writes after a mid-commit raise" (fun () ->
         (* regression: an exception raised while applying the queue used to
@@ -60,13 +65,13 @@ let signal_tests =
             end);
         Signal.set_next_int b 1;
         Signal.set_next_int a 1 (* applied first: the queue is newest-first *);
-        (match Signal.commit_pending () with
+        (match commit () with
         | () -> Alcotest.fail "expected the listener to raise"
         | exception Failure _ -> ());
         check_int "write before the raise applied" 1 (Signal.get_int a);
         (* the aborted commit must have emptied the queue *)
         Signal.set_int a 5;
-        Signal.commit_pending ();
+        commit ();
         check_int "no stale replay" 5 (Signal.get_int a);
         check_int "interrupted write stands" 1 (Signal.get_int b));
   ]
@@ -116,7 +121,7 @@ let storage_tests =
         Alcotest.check_raises "get_int raises like Bits.to_int" does_not_fit
           (fun () -> ignore (Signal.get_int s));
         Signal.set_next s (Bits.create ~width:63 0x3FFF_FFFF_FFFF_FFFFL);
-        Signal.commit_pending ();
+        commit ();
         check_int "largest non-negative fits" max_int (Signal.get_int s));
     t "negative set_int / set_next_int mask like Bits.of_int" (fun () ->
         List.iter
@@ -130,7 +135,7 @@ let storage_tests =
                 check_bits (name ^ " set_int") expected (Signal.get s);
                 let s = Signal.create width in
                 Signal.set_next_int s v;
-                Signal.commit_pending ();
+                commit ();
                 check_bits (name ^ " set_next_int") expected (Signal.get s))
               [ -1; -2; -12345; min_int; max_int ])
           [ 1; 2; 7; 32; 62; 63; 64 ]);
@@ -138,9 +143,9 @@ let storage_tests =
         let s = Signal.create ~name:"wide" 64 in
         let top = Bits.create ~width:64 0x8000_0000_0000_0003L in
         let r = Recorder.create () in
-        Signal.attach_recorder (Some r);
+        Signal.attach_recorder (Signal.store ()) (Some r);
         Signal.set s top;
-        Signal.attach_recorder None;
+        Signal.attach_recorder (Signal.store ()) None;
         check_bits "set" top (Signal.get s);
         check_bool "holds" true (Signal.holds s top);
         check_bool "get_bool" true (Signal.get_bool s);
@@ -156,22 +161,22 @@ let storage_tests =
         let next = Bits.create ~width:64 (-2L) in
         Signal.set_next s next;
         check_bits "deferred" top (Signal.get s);
-        Signal.commit_pending ();
+        commit ();
         check_bits "committed" next (Signal.get s);
         (* a write differing only in bit 63 is a change *)
-        let c = Signal.change_count () in
+        let c = changes () in
         Signal.set s (Bits.create ~width:64 Int64.max_int);
-        check_int "bit 63 change counted" (c + 1) (Signal.change_count ());
-        let c = Signal.change_count () in
+        check_int "bit 63 change counted" (c + 1) (changes ());
+        let c = changes () in
         Signal.restore_value s top;
         check_bits "restored" top (Signal.get s);
-        check_int "restore is silent" c (Signal.change_count ());
+        check_int "restore is silent" c (changes ());
         let copy = Signal.create 64 in
         Signal.assign ~dst:copy ~src:s;
         check_bits "assign" top (Signal.get copy);
         Signal.set_int copy 0;
         Signal.assign_next ~dst:copy ~src:s;
-        Signal.commit_pending ();
+        commit ();
         check_bits "assign_next" top (Signal.get copy));
     t "64-bit registers give equal VCDs on all three schedulers" (fun () ->
         let step = Bits.create ~width:64 0x9000_0000_0000_0001L in
@@ -198,7 +203,7 @@ let storage_tests =
         Array.iteri (fun i s -> Signal.on_change s (fun () -> fired := i :: !fired)) sigs;
         Array.iter (fun s -> Signal.set_next_int s 1) sigs;
         Array.iteri (fun i s -> Signal.set_next_int s (i + 2)) sigs;
-        Signal.commit_pending ();
+        commit ();
         Array.iteri (fun i s -> check_int "last write" (i + 2) (Signal.get_int s)) sigs;
         (* newest-first: the last-queued signal fires first *)
         Alcotest.(check (list int)) "apply order" (List.init n Fun.id) !fired;
@@ -206,9 +211,9 @@ let storage_tests =
         let s = sigs.(0) in
         Signal.set_next_int s 7;
         Signal.set_next_int s 2;
-        Signal.commit_pending ();
+        commit ();
         check_int "shadowed" 2 (Signal.get_int s);
-        Signal.commit_pending ();
+        commit ();
         check_int "nothing replayed" 2 (Signal.get_int s));
     t "queue: a raise mid-commit leaves it empty, even after growth" (fun () ->
         let sigs = Array.init 150 (fun _ -> Signal.create 8) in
@@ -220,14 +225,14 @@ let storage_tests =
               failwith "listener boom"
             end);
         Array.iter (fun s -> Signal.set_next_int s 1) sigs;
-        (match Signal.commit_pending () with
+        (match commit () with
         | () -> Alcotest.fail "expected the listener to raise"
         | exception Failure _ -> ());
         (* newest-first: 149..100 applied, 99..0 dropped with the queue *)
         check_int "applied before the raise" 1 (Signal.get_int sigs.(149));
         check_int "dropped" 0 (Signal.get_int sigs.(0));
         Signal.set_next_int sigs.(1) 9;
-        Signal.commit_pending ();
+        commit ();
         check_int "queue usable" 9 (Signal.get_int sigs.(1));
         check_int "no stale replay" 0 (Signal.get_int sigs.(0)));
     t "clear_pending_for keeps other owners' writes in order" (fun () ->
@@ -247,7 +252,7 @@ let storage_tests =
         Signal.set_next_int b 2;
         Signal.set_next_int a 2;
         Signal.clear_pending_for ~owner:1;
-        Signal.commit_pending ();
+        commit ();
         check_int "a dropped" 0 (Signal.get_int a);
         check_int "b last write" 2 (Signal.get_int b);
         check_int "c kept" 1 (Signal.get_int c);
@@ -422,6 +427,28 @@ let kernel_tests =
         done;
         check_int "backward steps" 0 !backwards;
         check_bool "positive" true (Int64.compare !prev 0L > 0));
+    t "a host called from another domain is refused" (fun () ->
+        (* the kernel and its signals resolved this domain's signal store
+           when they were built; cycling them in another domain would queue
+           writes that no commit ever applies *)
+        let host =
+          Splice.Interpolator.make_host Splice.Interpolator.Splice_plb_simple
+        in
+        let outcome =
+          Domain.join
+            (Domain.spawn (fun () ->
+                 match
+                   Splice.Interpolator.run host (Splice.Interp_scenarios.by_id 1)
+                 with
+                 | _ -> None
+                 | exception Invalid_argument msg -> Some msg))
+        in
+        Alcotest.(check (option string))
+          "explicit error"
+          (Some "Kernel: cycled from a domain other than the one that created it")
+          outcome;
+        check_int "nothing simulated" 0
+          (Kernel.cycles (Splice.Host.kernel host)));
   ]
 
 let scheduler_tests =

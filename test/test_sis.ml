@@ -8,17 +8,17 @@ let t name f = Alcotest.test_case name `Quick f
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let spec_of ?(bus = "plb") ?(extra = "") decls =
+let spec_of ?(bus = "plb") ?(width = 32) ?(extra = "") decls =
   Validate.of_string_exn ~lookup_bus:Registry.lookup_caps
     (Printf.sprintf
-       "%%device_name d\n%%bus_type %s\n%%bus_width 32\n%%base_address 0x0\n%s%s"
-       bus extra decls)
+       "%%device_name d\n%%bus_type %s\n%%bus_width %d\n%%base_address 0x0\n%s%s"
+       bus width extra decls)
 
 (* a bare test bench: peripheral + manually driven SIS lines *)
 type bench = { kernel : Kernel.t; periph : Peripheral.t; sis : Sis_if.t }
 
-let bench ?(behaviors = fun _ -> Stub_model.null_behavior) decls =
-  let spec = spec_of decls in
+let bench ?width ?(behaviors = fun _ -> Stub_model.null_behavior) decls =
+  let spec = spec_of ?width decls in
   let kernel = Kernel.create () in
   let periph = Peripheral.build kernel spec ~behaviors in
   { kernel; periph; sis = Peripheral.sis periph }
@@ -276,6 +276,32 @@ let monitor_tests =
         Kernel.cycle b.kernel;
         Signal.set_bool b.sis.Sis_if.io_enable false;
         Signal.set_int b.sis.Sis_if.data_in 6 (* illegal mutation *);
+        (match Kernel.run b.kernel 2 with
+        | () -> Alcotest.fail "expected check failure"
+        | exception Kernel.Check_failed { message; _ } ->
+            check_bool "mentions DATA_IN" true
+              (Astring_contains.contains message "DATA_IN"));
+        Signal.clear_pending ());
+    t "monitor compares a 64-bit DATA_IN in full while a write stalls"
+      (fun () ->
+        (* the same stall as above on a 64-bit interface, where the two
+           values differ only in bit 63: the monitor must see the change
+           that the low 63 bits alone cannot *)
+        let b =
+          bench ~width:64 "int f(int x);" ~behaviors:(fun _ ->
+              Stub_model.behavior ~cycles:8 (fun _ -> [ 0L ]))
+        in
+        let data v = Signal.set b.sis.Sis_if.data_in (Bits.create ~width:64 v) in
+        ignore (write_word b ~id:1 1);
+        Signal.set_int b.sis.Sis_if.func_id 1;
+        data 0x8000_0000_0000_0005L;
+        Signal.set_bool b.sis.Sis_if.data_in_valid true;
+        Signal.set_bool b.sis.Sis_if.io_enable true;
+        Kernel.cycle b.kernel;
+        Signal.set_bool b.sis.Sis_if.io_enable false;
+        (* holding the word is legal *)
+        Kernel.cycle b.kernel;
+        data 0x0000_0000_0000_0005L (* bit 63 only: illegal mutation *);
         (match Kernel.run b.kernel 2 with
         | () -> Alcotest.fail "expected check failure"
         | exception Kernel.Check_failed { message; _ } ->
