@@ -149,24 +149,17 @@ let bench_cycles_instrumented =
               (Splice.Interp_scenarios.by_id 1))))
 
 (* Functional coverage overhead: the same driver call with the full PLB
-   protocol coverage group attached — cycle-level phase/wait sampling on
-   every settle plus the adapter engine's transaction-level points
-   (resolved once at engine creation via the ambient map). *)
+   protocol coverage group attached after the build — cycle-level
+   phase/wait sampling on every settle plus the transaction-level points
+   sampled by the bus port's observer. *)
 let bench_cycles_covered =
   let host =
     lazy
-      (let c = Splice.Cover.create () in
-       let caps = Splice.Registry.lookup_caps "plb" in
-       Splice.Bus_cover.declare c ~bus:"plb" ~caps;
-       Splice.Cover.set_ambient (Some c);
-       let h =
-         Fun.protect
-           ~finally:(fun () -> Splice.Cover.set_ambient None)
-           (fun () ->
-             Splice.Interpolator.make_host Splice.Interpolator.Splice_plb_simple)
+      (let h =
+         Splice.Interpolator.make_host Splice.Interpolator.Splice_plb_simple
        in
-       Splice.Bus_cover.attach c ~bus:"plb" ~caps (Splice.Host.kernel h)
-         (Splice.Host.sis h);
+       Splice.Bus_cover.attach (Splice.Cover.create ()) ~bus:"plb"
+         (Splice.Host.kernel h) (Splice.Host.sis h) (Splice.Host.port h);
        h)
   in
   Test.make ~name:"driver call, coverage sampling on"

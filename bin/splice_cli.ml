@@ -504,10 +504,7 @@ let fuzz_cmd =
       Option.map
         (fun c ->
           let h, t = Splice.Cover.totals c in
-          let ph, pt =
-            Splice.Cover.totals ~prefix:"bus/"
-              ~points:[ "phase"; "phase_seq" ] c
-          in
+          let ph, pt = Splice.Bus_cover.phase_totals c in
           (c, h, t, ph, pt))
         report.Splice.Diff.r_cover
     in
@@ -806,10 +803,7 @@ let cover_cmd =
         match fail_under with
         | None -> 0
         | Some floor ->
-            let h, t =
-              Splice.Cover.totals ~prefix:"bus/"
-                ~points:[ "phase"; "phase_seq" ] c
-            in
+            let h, t = Splice.Bus_cover.phase_totals c in
             let have =
               if t = 0 then 0.0
               else 100.0 *. float_of_int h /. float_of_int t

@@ -56,10 +56,9 @@ type t = {
      "bus/<name>" track id, resolved once at engine creation *)
   rec_ : Recorder.t option;
   rec_track : int;
-  (* transaction-level coverpoints of the domain's ambient coverage map
-     (if one is installed and declared for this bus), resolved once at
-     engine creation — same interning discipline as [rec_track] *)
-  cover_txn : Splice_cover.Bus_cover.txn option;
+  (* [Bus_port.on_transaction] observers, in registration order; not
+     touched by the component's reset *)
+  mutable observers : (Bus_port.req -> unit) list;
 }
 
 let deassert t =
@@ -92,6 +91,12 @@ let strobe_read t =
   Signal.set_next_bool t.sis.Sis_if.data_in_valid false;
   Signal.set_next_bool t.sis.Sis_if.io_enable true
 
+let rec notify req = function
+  | [] -> ()
+  | f :: fs ->
+      f req;
+      notify req fs
+
 let begin_request t req =
   t.active <- Some req;
   t.collected <- [];
@@ -100,18 +105,7 @@ let begin_request t req =
       Recorder.txn_begin r ~subject:t.rec_track
         ~words:(Bus_port.words_of_req req)
   | None -> ());
-  (match t.cover_txn with
-  | Some pts ->
-      let dir, func_id =
-        match req with
-        | Bus_port.Write { func_id; _ } -> (`Write, func_id)
-        | Bus_port.Read { func_id; _ } -> (`Read, func_id)
-        | Bus_port.Dma_write { func_id; _ } -> (`Dma_write, func_id)
-        | Bus_port.Dma_read { func_id; _ } -> (`Dma_read, func_id)
-      in
-      Splice_cover.Bus_cover.sample_txn pts ~func_id ~dir
-        ~words:(Bus_port.words_of_req req)
-  | None -> ());
+  notify req t.observers;
   if Obs.active t.obs then begin
     Metrics.incr t.m_transfers;
     Metrics.observe t.h_burst (Bus_port.words_of_req req);
@@ -322,10 +316,7 @@ let make ?(obs = Obs.none) cfg sis =
       req_span = Tracer.null_span;
       rec_;
       rec_track;
-      cover_txn =
-        Option.bind
-          (Splice_cover.Cover.ambient ())
-          (fun c -> Splice_cover.Bus_cover.find_txn c ~bus:cfg.name);
+      observers = [];
     }
   in
   t.comp <-
@@ -365,6 +356,7 @@ let port t ~wait_mode ~max_burst_words ~supports_dma =
     result = (fun () -> List.rev t.collected);
     pulse_reset = (fun () -> t.reset_req <- true);
     irq_pending = (fun () -> t.irq_flag);
+    on_transaction = (fun f -> t.observers <- t.observers @ [ f ]);
     wait_mode;
     max_burst_words;
     supports_dma;

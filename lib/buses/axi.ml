@@ -55,8 +55,8 @@ let check_params _ = Ok ()
 (* ---- CDC configuration ---------------------------------------------
    Clock ratio and FIFO depth are simulation parameters, not spec syntax:
    the fuzzer sweeps them per iteration and the CLI pins them, both
-   through this ambient slot (the [Cover.set_ambient] idiom — domain-local
-   so pool workers never see each other's cell). *)
+   through this slot, read once at connect time (domain-local so pool
+   workers never see each other's cell). *)
 
 type cdc = { ratio : int * int; depth : int }
 (* ratio = (aclk_freq : pclk_freq); depth = command/response FIFO depth *)
@@ -431,35 +431,6 @@ let connect kernel (spec : Spec.t) sis =
     (Component.make ~seq:bridge_seq
        ~reset:(fun () -> bst := B_idle)
        "axi-bridge");
-  (* ---- coverage (ambient-map discipline, ACLK-edge sampling) *)
-  (match Splice_cover.Cover.ambient () with
-  | None -> ()
-  | Some c -> (
-      match Splice_cover.Bus_cover.find_axi c with
-      | None -> ()
-      | Some ax ->
-          Splice_cover.Bus_cover.sample_axi_cdc ax ~ratio:(reduce ratio) ~depth;
-          (* a fresh build samples the configuration bin once at connect
-             time; an instance-reset replay must do the same *)
-          Kernel.at_reset kernel (fun () ->
-              Splice_cover.Bus_cover.sample_axi_cdc ax ~ratio:(reduce ratio)
-                ~depth);
-          let sample = Splice_cover.Bus_cover.sample_axi_fire ax in
-          Kernel.on_settle_in kernel aclk (fun _ ->
-              let fire v r = Signal.get_bool v && Signal.get_bool r in
-              if fire nat.Native.awvalid nat.Native.awready then sample `Aw;
-              if fire nat.Native.wvalid nat.Native.wready then sample `W;
-              if fire nat.Native.arvalid nat.Native.arready then sample `Ar;
-              if fire nat.Native.rvalid nat.Native.rready then sample `R;
-              if fire nat.Native.bvalid nat.Native.bready then sample `B;
-              if Signal.get_bool nat.Native.awvalid
-                 && not (Signal.get_bool nat.Native.awready)
-              then sample `Aw_stall;
-              if Signal.get_bool nat.Native.arvalid
-                 && not (Signal.get_bool nat.Native.arready)
-              then sample `Ar_stall;
-              if Signal.get_bool (Async_fifo.full wcmd) then sample `Bp_w;
-              if Signal.get_bool (Async_fifo.full rcmd) then sample `Bp_r)));
   register_instance kernel
     {
       nat;
@@ -483,6 +454,9 @@ let connect kernel (spec : Spec.t) sis =
     result = (fun () -> List.rev m.collected);
     pulse_reset = eport.Bus_port.pulse_reset;
     irq_pending = eport.Bus_port.irq_pending;
+    (* observers see the bridge's one-word APB-side requests, not the
+       driver's bursts *)
+    on_transaction = eport.Bus_port.on_transaction;
     wait_mode;
     max_burst_words = caps.Bus_caps.max_burst_words;
     supports_dma = false;

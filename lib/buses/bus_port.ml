@@ -13,6 +13,7 @@ type t = {
   result : unit -> Bits.t list;
   pulse_reset : unit -> unit;
   irq_pending : unit -> bool;
+  on_transaction : (req -> unit) -> unit;
   wait_mode : [ `Null | `Poll ];
   max_burst_words : int;
   supports_dma : bool;

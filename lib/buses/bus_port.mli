@@ -23,6 +23,10 @@ type t = {
   pulse_reset : unit -> unit;  (** assert SIS RST for the next cycle *)
   irq_pending : unit -> bool;
       (** completion-interrupt line state (§10.2); cleared by a status read *)
+  on_transaction : (req -> unit) -> unit;
+      (** register an observer, called with each request when the adapter
+          begins executing it. Observers are build-time attachments: an
+          instance reset keeps them. *)
   wait_mode : [ `Null | `Poll ];
       (** how WAIT_FOR_RESULTS is implemented on this bus (§6.1.1): [`Null]
           on pseudo-asynchronous buses (reads stall until ready), [`Poll] on

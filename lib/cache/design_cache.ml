@@ -10,7 +10,7 @@ open Splice_par
    [Host.reset] rewinds to. The key is the canonical content of everything
    elaboration depends on: the spec source, the bus, the CDC configuration
    (clock ratio + FIFO depth), the monitor set, the behavior parameters and
-   the ambient-environment identity (a cover map, when one is attached).
+   the attached-environment identity (a cover map, when one is attached).
    The {e scheduler is deliberately not part of the key}: the same
    elaborated design serves all three schedulers — a hit resets the kernel
    and re-targets it, and the next seal rebuilds whatever the new scheduler
@@ -34,10 +34,10 @@ type key = {
   k_depth : int;  (* CDC FIFO depth *)
   k_monitors : bool;
   k_env : int;
-      (* identity of the ambient environment the design was elaborated
-         under (e.g. a functional-coverage map it samples into); 0 = none.
-         Distinct environments must miss: a cached design keeps sampling
-         into the map it was built against. *)
+      (* identity of the environment attached to the design at build
+         time (e.g. the functional-coverage map its samplers write into);
+         0 = none. Distinct environments must miss: a cached design keeps
+         sampling into the map it was built with. *)
 }
 
 (* Canonical content hash: fold the key's rendering through the splitmix64

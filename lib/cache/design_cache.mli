@@ -33,8 +33,9 @@ type key = {
   k_depth : int;  (** CDC FIFO depth *)
   k_monitors : bool;
   k_env : int;
-      (** ambient-environment identity (e.g. the cover map the design
-          samples into; 0 = none) — distinct environments must miss *)
+      (** identity of the environment attached at build time (e.g. the
+          cover map the design samples into; 0 = none) — distinct
+          environments must miss *)
 }
 
 val hash_key : key -> int64

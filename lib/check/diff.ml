@@ -188,23 +188,16 @@ let dump_of host msg =
    key — the three schedulers of one (spec, bus) cell share a single
    elaboration. The replay is byte-identical to a fresh build, so digests,
    dumps and shrink traces do not depend on the hit/miss pattern. *)
-let exec ~max_cycles ~cache ~key ~cover ~caps ~spec ~tr bus sched =
+let exec ~max_cycles ~cache ~key ~cover ~spec ~tr bus sched =
   let build () =
     (* one isolated simulation per build: restart the domain-local
        default-name counter so any sigN in a failure message is a
        function of this cell alone, not of pool scheduling *)
     Signal.reset_names ();
-    (* the adapter engine is created inside [Host.create]; it picks
-       its transaction coverpoints out of the ambient map, so the map
-       must be installed (and the bus's group declared) first *)
-    Option.iter (fun c -> Splice_cover.Bus_cover.declare c ~bus ~caps) cover;
     let host =
       Fun.protect
-        ~finally:(fun () ->
-          Splice_cover.Cover.set_ambient None;
-          Axi.set_cdc None)
+        ~finally:(fun () -> Axi.set_cdc None)
         (fun () ->
-          Splice_cover.Cover.set_ambient cover;
           (* the CDC sweep dimensions ride on the cache key; connect reads
              them once, so clearing after Host.create is safe *)
           Axi.set_cdc
@@ -223,8 +216,8 @@ let exec ~max_cycles ~cache ~key ~cover ~caps ~spec ~tr bus sched =
         Bus_monitor.attach (Host.kernel host) ~bus (Host.sis host);
         Option.iter
           (fun c ->
-            Splice_cover.Bus_cover.attach c ~bus ~caps (Host.kernel host)
-              (Host.sis host))
+            Splice_cover.Bus_cover.attach c ~bus (Host.kernel host)
+              (Host.sis host) (Host.port host))
           cover);
     host
   in
@@ -309,7 +302,6 @@ let exec_bus ~max_cycles ~iseed ~cover ~cache g bus scheds =
           None )
   | Ok spec -> (
   let tr = traffic_for iseed spec in
-  let caps = Registry.lookup_caps bus in
   let key =
     {
       (* calc_cycles is baked into the stub behaviours at elaboration
@@ -331,7 +323,7 @@ let exec_bus ~max_cycles ~iseed ~cover ~cache g bus scheds =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | sched :: rest -> (
-        match exec ~max_cycles ~cache ~key ~cover ~caps ~spec ~tr bus sched with
+        match exec ~max_cycles ~cache ~key ~cover ~spec ~tr bus sched with
         | Ok cycles -> go ((sched, cycles) :: acc) rest
         | Error (func, msg, dump) -> Error (sched, func, msg, dump))
   in
@@ -577,11 +569,7 @@ let run ?(log = ignore) ?pool config =
   let agg =
     if config.cover then begin
       let c = Splice_cover.Cover.create () in
-      List.iter
-        (fun b ->
-          Splice_cover.Bus_cover.declare c ~bus:b
-            ~caps:(Registry.lookup_caps b))
-        buses;
+      List.iter (fun b -> Splice_cover.Bus_cover.declare c ~bus:b) buses;
       Some c
     end
     else None

@@ -1,6 +1,7 @@
 open Splice_sim
 open Splice_sis
 open Splice_syntax
+open Splice_buses
 
 let group_name bus = "bus/" ^ bus
 
@@ -97,9 +98,8 @@ let pseudo_async_of = function
 
 (* ---- AXI channel handshake / CDC configuration points -------------
    The AXI4-Lite bus is the one registered bus with native channels on a
-   second clock domain; its cycle-level sampler lives in the bus model
-   itself (the adapter-engine ambient-map idiom), but the bins are
-   declared here so the group exists in pre-declared aggregate maps. *)
+   second clock domain; [attach] samples them from the bridge instance
+   the bus model publishes per kernel. *)
 
 let axi_handshake_bins =
   [ ("aw", 0); ("w", 1); ("ar", 2); ("r", 3); ("b", 4);
@@ -109,17 +109,13 @@ let axi_handshake_bins =
     (* command FIFOs observed full from the write side *)
     ("bp_w", 7); ("bp_r", 8) ]
 
-let fire_code = function
-  | `Aw -> 0 | `W -> 1 | `Ar -> 2 | `R -> 3 | `B -> 4
-  | `Aw_stall -> 5 | `Ar_stall -> 6 | `Bp_w -> 7 | `Bp_r -> 8
-
 (* the fuzzer's clock-ratio universe, encoded [100*fast + slow] *)
 let ratio_code (a, b) = (100 * a) + b
 
 let axi_ratio_bins =
   List.map
     (fun ((a, b) as r) -> (Printf.sprintf "%d:%d" a b, ratio_code r))
-    [ (1, 1); (2, 1); (3, 1); (3, 2); (5, 2) ]
+    Axi.ratios_all
 
 let axi_depth_bins =
   [ ("2", 2, 2); ("4", 4, 4); ("8", 8, 8); ("16", 16, 16); ("32-64", 32, 64) ]
@@ -130,7 +126,8 @@ let declare_axi g =
   let depth = Cover.point g "cdc_depth" (Cover.Ranges axi_depth_bins) in
   ignore (Cover.cross g "ratio_x_depth" ratio depth)
 
-let declare c ~bus ~caps =
+let declare c ~bus =
+  let caps = Registry.lookup_caps bus in
   let g = Cover.group c (group_name bus) in
   let pa = pseudo_async_of caps in
   ignore (Cover.point g "phase" (Cover.Values (phase_bins ~pseudo_async:pa)));
@@ -158,11 +155,11 @@ type st = {
   mutable rcnt : int;
 }
 
-let attach c ~bus ~caps kernel (sis : Sis_if.t) =
-  declare c ~bus ~caps;
-  let g = Cover.group c (group_name bus) in
-  let pa = pseudo_async_of caps in
-  let find n = Option.get (Cover.find_point g n) in
+let find g n = Option.get (Cover.find_point g n)
+
+let sample_sis g ~bus kernel (sis : Sis_if.t) =
+  let pa = pseudo_async_of (Registry.lookup_caps bus) in
+  let find = find g in
   let phase = find "phase" in
   let seq = find "phase_seq" in
   let grant = find "grant" in
@@ -281,72 +278,73 @@ let attach c ~bus ~caps kernel (sis : Sis_if.t) =
       st.prev <- primary;
       st.seen_prev <- true)
 
-(* ---- transaction-level sampling (adapter engine) ----------------- *)
-
-type txn = {
-  tx_burst : Cover.point;
-  tx_dir : Cover.point;
-  tx_cross : Cover.point;
-  tx_grant : Cover.point;
-}
-
-let find_txn c ~bus =
-  match Cover.find_group c (group_name bus) with
-  | None -> None
-  | Some g -> (
-      match
-        ( Cover.find_point g "burst", Cover.find_point g "dir",
-          Cover.find_point g "dir_x_burst", Cover.find_point g "grant" )
-      with
-      | Some b, Some d, Some x, Some gr ->
-          Some { tx_burst = b; tx_dir = d; tx_cross = x; tx_grant = gr }
-      | _ -> None)
-
-let dir_code = function
-  | `Write -> dir_write
-  | `Read -> dir_read
-  | `Dma_write -> dir_dma_write
-  | `Dma_read -> dir_dma_read
+(* ---- transaction-level sampling (bus port observer) --------------- *)
 
 (* Status polls (func_id 0) are served by the adapter's internal register
    and never assert IO_ENABLE, so the grant point's "status" bin is only
    reachable here at the transaction level — the cycle-level sampler in
-   [attach] covers the first/repeat/switch bins. *)
-let sample_txn t ~func_id ~dir ~words =
-  let d = dir_code dir in
-  Cover.sample t.tx_dir d;
-  Cover.sample t.tx_burst words;
-  Cover.sample2 t.tx_cross d words;
-  if func_id = 0 then Cover.sample t.tx_grant 0
+   [sample_sis] covers the first/repeat/switch bins. *)
+let observe_txns g (port : Bus_port.t) =
+  let dir = find g "dir" and burst = find g "burst" in
+  let cross = find g "dir_x_burst" and grant = find g "grant" in
+  port.Bus_port.on_transaction (fun req ->
+      let d, func_id =
+        match req with
+        | Bus_port.Write { func_id; _ } -> (dir_write, func_id)
+        | Bus_port.Read { func_id; _ } -> (dir_read, func_id)
+        | Bus_port.Dma_write { func_id; _ } -> (dir_dma_write, func_id)
+        | Bus_port.Dma_read { func_id; _ } -> (dir_dma_read, func_id)
+      in
+      let words = Bus_port.words_of_req req in
+      Cover.sample dir d;
+      Cover.sample burst words;
+      Cover.sample2 cross d words;
+      if func_id = 0 then Cover.sample grant 0)
 
-(* ---- AXI native-side sampling (resolved like [txn], sampled by the
-   bus model's aclk-domain hook) ------------------------------------- *)
+(* ---- AXI native side (ACLK-edge sampling) ------------------------- *)
 
-type axi = {
-  ax_handshake : Cover.point;
-  ax_ratio : Cover.point;
-  ax_depth : Cover.point;
-  ax_cross : Cover.point;
-}
+let sample_axi g kernel =
+  match Axi.instance_for kernel with
+  | None -> ()
+  | Some i ->
+      let handshake = find g "handshake" in
+      let ratio = find g "cdc_ratio" and depth = find g "cdc_depth" in
+      let cross = find g "ratio_x_depth" in
+      (* which cell of the ratio x depth design grid this simulation
+         exercised: once per build, and again on every instance-reset
+         replay of it *)
+      let sample_cdc () =
+        let rc = ratio_code i.Axi.i_ratio in
+        Cover.sample ratio rc;
+        Cover.sample depth i.Axi.i_depth;
+        Cover.sample2 cross rc i.Axi.i_depth
+      in
+      sample_cdc ();
+      Kernel.at_reset kernel sample_cdc;
+      let nat = i.Axi.nat and wcmd = i.Axi.i_wcmd and rcmd = i.Axi.i_rcmd in
+      let on = Signal.get_bool in
+      let fire v r = on v && on r in
+      Kernel.on_settle_in kernel i.Axi.aclk (fun _ ->
+          let open Axi.Native in
+          (* codes are the [axi_handshake_bins] values *)
+          if fire nat.awvalid nat.awready then Cover.sample handshake 0;
+          if fire nat.wvalid nat.wready then Cover.sample handshake 1;
+          if fire nat.arvalid nat.arready then Cover.sample handshake 2;
+          if fire nat.rvalid nat.rready then Cover.sample handshake 3;
+          if fire nat.bvalid nat.bready then Cover.sample handshake 4;
+          if on nat.awvalid && not (on nat.awready) then
+            Cover.sample handshake 5;
+          if on nat.arvalid && not (on nat.arready) then
+            Cover.sample handshake 6;
+          if on (Async_fifo.full wcmd) then Cover.sample handshake 7;
+          if on (Async_fifo.full rcmd) then Cover.sample handshake 8)
 
-let find_axi c =
-  match Cover.find_group c (group_name "axi") with
-  | None -> None
-  | Some g -> (
-      match
-        ( Cover.find_point g "handshake", Cover.find_point g "cdc_ratio",
-          Cover.find_point g "cdc_depth", Cover.find_point g "ratio_x_depth" )
-      with
-      | Some h, Some r, Some d, Some x ->
-          Some { ax_handshake = h; ax_ratio = r; ax_depth = d; ax_cross = x }
-      | _ -> None)
+let attach c ~bus kernel sis port =
+  declare c ~bus;
+  let g = Cover.group c (group_name bus) in
+  sample_sis g ~bus kernel sis;
+  observe_txns g port;
+  if bus = "axi" then sample_axi g kernel
 
-let sample_axi_fire t ev = Cover.sample t.ax_handshake (fire_code ev)
-
-(* sampled once per connected bridge: which cell of the ratio x depth
-   design grid this simulation exercised *)
-let sample_axi_cdc t ~ratio ~depth =
-  let rc = ratio_code ratio in
-  Cover.sample t.ax_ratio rc;
-  Cover.sample t.ax_depth depth;
-  Cover.sample2 t.ax_cross rc depth
+let phase_totals c =
+  Cover.totals ~prefix:"bus/" ~points:[ "phase"; "phase_seq" ] c

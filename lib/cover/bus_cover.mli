@@ -3,11 +3,15 @@
     Mirrors [Bus_monitor]'s SIS-side phase model: the same
     (presentation, wait, acknowledge) classification the protocol rules
     check is what the coverpoints count, so a covered bin is a scenario
-    the monitors actually vetted. Bin sets are derived from
-    [Bus_caps.t] structure — burst-length log ranges from
+    the monitors actually vetted. Bin sets are derived from the bus's
+    registered [Bus_caps.t] — burst-length log ranges from
     [max_burst_words]/[dma_max_bytes], DMA direction bins only where
     [supports_dma], write-side wait bins only where [pseudo_async]
     (strictly synchronous buses may not stall writes, per the monitors).
+
+    Coverage observes a design from outside, like [Bus_monitor]: the bus
+    models know nothing of it. {!attach} hooks a built host's kernel,
+    SIS lines and bus port after elaboration.
 
     One group per bus, named ["bus/<name>"], with points:
     - [phase]: multi-hot aspect bins — reset, write, read, ack_w, ack_r,
@@ -20,63 +24,33 @@
       new one;
     - [wait_r] (+ [wait_w]): per-word wait-state count ranges;
     - [burst], [dir], [dir_x_burst]: transaction-level points sampled by
-      the bus adapter engine through the ambient map. *)
+      an observer on the bus port ([Bus_port.on_transaction]).
 
-open Splice_syntax
+    The AXI4-Lite bridge is the one builtin whose native channels live in
+    their own clock domain; its group has three extra points —
+    [handshake] (per-channel VALID/READY fires, stalls and command-FIFO
+    backpressure, sampled on ACLK edges), [cdc_ratio] / [cdc_depth]
+    (which cell of the clock-ratio x FIFO-depth design grid the run
+    exercised) and their [ratio_x_depth] cross. *)
 
 val group_name : string -> string
 (** ["bus/<name>"]. *)
 
-val declare : Cover.t -> bus:string -> caps:Bus_caps.t option -> unit
-(** Create the bus's group and every point (idempotent). [caps = None]
-    falls back to a generic moderate shape (8-word bursts, no DMA,
-    pseudo-asynchronous). *)
+val declare : Cover.t -> bus:string -> unit
+(** Create the bus's group and every point (idempotent). A bus missing
+    from the registry gets a generic moderate shape (8-word bursts, no
+    DMA, pseudo-asynchronous). *)
 
 val attach :
-  Cover.t -> bus:string -> caps:Bus_caps.t option ->
-  Splice_sim.Kernel.t -> Splice_sis.Sis_if.t -> unit
-(** Declare (if needed) and hook cycle-level sampling — phase aspects,
-    phase sequence, grants, wait-state counts — into the kernel's
-    settled view. State lives in the hook's closure, so one attachment
-    per (kernel, run). *)
+  Cover.t -> bus:string -> Splice_sim.Kernel.t -> Splice_sis.Sis_if.t ->
+  Splice_buses.Bus_port.t -> unit
+(** Declare (if needed) and hook sampling into a built host: phase
+    aspects, phase sequence, grants and wait-state counts from the
+    kernel's settled view of the SIS lines; transaction points from an
+    observer on the port; on ["axi"] the ACLK handshake bins and the CDC
+    cell of the kernel's bridge. State lives in the hooks' closures, and
+    every hook survives instance reset, so attach once per build. *)
 
-(** Transaction-level points, resolved once at adapter-engine creation
-    and sampled at request start — the interning discipline that keeps
-    the engine's hot path free of lookups. *)
-type txn
-
-val find_txn : Cover.t -> bus:string -> txn option
-(** [None] until {!declare} has run for the bus — an engine created with
-    no ambient coverage (or before declaration) samples nothing. *)
-
-val sample_txn :
-  txn ->
-  func_id:int ->
-  dir:[ `Write | `Read | `Dma_write | `Dma_read ] ->
-  words:int ->
-  unit
-(** [func_id = 0] additionally hits the grant point's "status" bin:
-    status polls never assert IO_ENABLE, so that bin is unreachable from
-    the cycle-level sampler. *)
-
-(** {1 AXI native-side points}
-
-    The AXI4-Lite bridge is the one builtin whose native channels live in
-    their own clock domain; {!declare} gives its group three extra
-    points — [handshake] (per-channel VALID/READY fires, stalls and
-    command-FIFO backpressure), [cdc_ratio] / [cdc_depth] (which cell of
-    the clock-ratio x FIFO-depth design grid the run exercised) and their
-    [ratio_x_depth] cross. The bus model samples them through the ambient
-    map with the same resolve-once discipline as {!txn}. *)
-
-type axi
-
-val find_axi : Cover.t -> axi option
-(** [None] until {!declare} has run for ["axi"]. *)
-
-val sample_axi_fire :
-  axi ->
-  [ `Aw | `W | `Ar | `R | `B | `Aw_stall | `Ar_stall | `Bp_w | `Bp_r ] ->
-  unit
-
-val sample_axi_cdc : axi -> ratio:int * int -> depth:int -> unit
+val phase_totals : Cover.t -> int * int
+(** (hit, total) over every bus group's [phase] and [phase_seq] bins —
+    the protocol-phase coverage that [splice cover --fail-under] gates. *)

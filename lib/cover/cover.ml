@@ -21,10 +21,10 @@ type point = {
 type group = { g_name : string; g_points : (string, point) Hashtbl.t }
 type t = { c_id : int; c_groups : (string, group) Hashtbl.t }
 
-(* process-unique map identity: what a design cache keys its ambient
-   environment on — two runs against different maps must never share a
-   cached design, because the design samples into the map it was built
-   against *)
+(* process-unique map identity: what a design cache keys its environment
+   on — two runs against different maps must never share a cached design,
+   because the design keeps sampling into the map its coverage was
+   attached with *)
 let next_id = Atomic.make 1
 
 type bins =
@@ -480,11 +480,3 @@ let openmetrics t =
   Openmetrics.render ~counters
     ~gauges:[ ("cover/bins_hit", h); ("cover/bins_total", tot) ]
     ~histograms:[]
-
-(* ---- ambient map ------------------------------------------------- *)
-
-let ambient_key : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let set_ambient c = Domain.DLS.get ambient_key := c
-let ambient () = !(Domain.DLS.get ambient_key)

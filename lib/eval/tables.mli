@@ -4,10 +4,6 @@
 
 val fig_9_1 : unit -> string
 
-val fig_9_2 : ?pool:Splice_par.Pool.t -> unit -> string * Cycles.summary
-(** [pool] parallelises the implementation cells ({!Cycles.measure});
-    the table is identical either way. *)
-
 val fig_9_3 : unit -> string
 
 val cross_bus : unit -> string

@@ -1,6 +1,7 @@
 (* lib/cover tests: bin semantics, canonical serialization and
    deterministic merging, the per-bus protocol groups on every registered
-   bus, the adapter engine's ambient transaction sampling, and the
+   bus, transaction sampling through the bus port's observer, the AXI
+   handshake and CDC points across a design-cache replay, and the
    headline properties — coverage maps bit-identical at any -j and
    guided fuzzing strictly ahead of random at an equal budget. *)
 
@@ -180,7 +181,7 @@ let bus_group_tests =
         let c = Cover.create () in
         List.iter
           (fun bus ->
-            Bus_cover.declare c ~bus ~caps:(Registry.lookup_caps bus))
+            Bus_cover.declare c ~bus)
           (Registry.names ());
         List.iter
           (fun bus ->
@@ -197,15 +198,14 @@ let bus_group_tests =
           (Registry.names ()));
     t "declare is idempotent" (fun () ->
         let c = Cover.create () in
-        let caps = Registry.lookup_caps "plb" in
-        Bus_cover.declare c ~bus:"plb" ~caps;
+        Bus_cover.declare c ~bus:"plb";
         let before = Cover.to_string c in
-        Bus_cover.declare c ~bus:"plb" ~caps;
+        Bus_cover.declare c ~bus:"plb";
         check_string "unchanged" before (Cover.to_string c));
     t "wait_w and dma bins follow the bus capabilities" (fun () ->
         let c = Cover.create () in
-        Bus_cover.declare c ~bus:"apb" ~caps:(Registry.lookup_caps "apb");
-        Bus_cover.declare c ~bus:"plb" ~caps:(Registry.lookup_caps "plb");
+        Bus_cover.declare c ~bus:"apb";
+        Bus_cover.declare c ~bus:"plb";
         let apb = Option.get (Cover.find_group c "bus/apb") in
         let plb = Option.get (Cover.find_group c "bus/plb") in
         (* APB is strictly synchronous: writes may not stall *)
@@ -219,41 +219,118 @@ let bus_group_tests =
         check_bool "apb has no dma dirs" true
           (not (List.mem "dma_w" (dir_names apb)));
         check_bool "plb has dma dirs" true (List.mem "dma_w" (dir_names plb)));
-    t "ambient map + engine sample transactions, including status grants"
+    t "port observer samples transactions, including status grants"
       (fun () ->
         Signal.reset_names ();
         let c = Cover.create () in
-        let caps = Registry.lookup_caps "plb" in
-        Bus_cover.declare c ~bus:"plb" ~caps;
-        let spec = Interpolator.spec_for Interpolator.Splice_plb_simple in
-        Cover.set_ambient (Some c);
-        let host =
-          Fun.protect
-            ~finally:(fun () -> Cover.set_ambient None)
-            (fun () ->
-              Host.create spec ~behaviors:(fun f -> Interpolator.behavior f))
-        in
-        Bus_cover.attach c ~bus:"plb" ~caps (Host.kernel host) (Host.sis host);
-        let txn = Option.get (Bus_cover.find_txn c ~bus:"plb") in
-        Bus_cover.sample_txn txn ~func_id:0 ~dir:`Read ~words:1;
-        let g = Option.get (Cover.find_group c "bus/plb") in
-        let grant = Option.get (Cover.find_point g "grant") in
-        check_int "status grant" 1 (List.assoc "status" (Cover.bins grant));
-        let before_dir =
-          Cover.hit (Option.get (Cover.find_point g "dir"))
-        in
-        ignore (Interpolator.run host (Interp_scenarios.by_id 1));
-        let dir = Option.get (Cover.find_point g "dir") in
-        let phase = Option.get (Cover.find_point g "phase") in
-        check_bool "engine sampled dirs" true (Cover.hit dir > before_dir);
-        check_bool "cycle sampler hit phases" true (Cover.hit phase >= 3));
-    t "no ambient map means the engine samples nothing" (fun () ->
-        Signal.reset_names ();
         let spec = Interpolator.spec_for Interpolator.Splice_plb_simple in
         let host =
           Host.create spec ~behaviors:(fun f -> Interpolator.behavior f)
         in
-        ignore (Interpolator.run host (Interp_scenarios.by_id 1)));
+        let port = Host.port host in
+        Bus_cover.attach c ~bus:"plb" (Host.kernel host) (Host.sis host) port;
+        let g = Option.get (Cover.find_group c "bus/plb") in
+        let point n = Option.get (Cover.find_point g n) in
+        (* the adapter serves the status register itself, without
+           IO_ENABLE, so only the transaction observer sees this grant *)
+        port.Bus_port.submit (Bus_port.Read { func_id = 0; words = 1 });
+        ignore
+          (Kernel.run_until (Host.kernel host) (fun () ->
+               not (port.Bus_port.busy ())));
+        check_int "status grant" 1
+          (List.assoc "status" (Cover.bins (point "grant")));
+        check_int "one read" 1 (List.assoc "r" (Cover.bins (point "dir")));
+        ignore (Interpolator.run host (Interp_scenarios.by_id 1));
+        check_bool "observer sampled writes" true
+          (List.assoc "w" (Cover.bins (point "dir")) > 0);
+        check_bool "cycle sampler hit phases" true
+          (Cover.hit (point "phase") >= 3));
+  ]
+
+(* ------------------------ AXI native side ------------------------- *)
+
+let axi_spec =
+  "%device_name cov\n%bus_type axi\n%bus_width 32\n%base_address 0x80000000\n\
+   %burst_support true\nint*:n echo(int n, int*:n xs);"
+
+let sum_bins p = List.fold_left (fun a (_, n) -> a + n) 0 (Cover.bins p)
+
+let axi_tests =
+  [
+    t "axi: handshake bins and one CDC cell per run, replay included"
+      (fun () ->
+        let spec =
+          Validate.of_string_exn ~lookup_bus:Registry.lookup_caps axi_spec
+        in
+        let c = Cover.create () in
+        let build () =
+          Signal.reset_names ();
+          Axi.set_cdc (Some { Axi.ratio = (3, 1); depth = 2 });
+          let host =
+            Fun.protect
+              ~finally:(fun () -> Axi.set_cdc None)
+              (fun () ->
+                Host.create spec ~behaviors:(fun _ ->
+                    Stub_model.behavior (fun inputs ->
+                        List.assoc "xs" inputs)))
+          in
+          (* attached after the build, from outside the bus model *)
+          Host.adopt host (fun () ->
+              Bus_cover.attach c ~bus:"axi" (Host.kernel host)
+                (Host.sis host) (Host.port host));
+          host
+        in
+        let key =
+          {
+            Design_cache.k_tag = "test_cover";
+            k_src = axi_spec;
+            k_bus = "axi";
+            k_ratio = (3, 1);
+            k_depth = 2;
+            k_monitors = false;
+            k_env = Cover.id c;
+          }
+        in
+        let cache = Design_cache.create ~capacity:2 in
+        let run () =
+          let host, hit =
+            Design_cache.acquire cache ~key ~sched:`Event ~build
+          in
+          (* quad bursts pipeline into the depth-2 command FIFOs faster
+             than the PCLK side drains them: both backpressure bins *)
+          let xs = [ 1L; 2L; 3L; 4L ] in
+          let r, _ =
+            Host.call host ~func:"echo" ~args:[ ("n", [ 4L ]); ("xs", xs) ]
+          in
+          Alcotest.(check (list int64)) "echo" xs r;
+          hit
+        in
+        check_bool "first run builds" false (run ());
+        let g = Option.get (Cover.find_group c "bus/axi") in
+        let point n = Option.get (Cover.find_point g n) in
+        List.iter
+          (fun (bin, n) ->
+            check_bool (Printf.sprintf "handshake %s hit" bin) true (n > 0))
+          (Cover.bins (point "handshake"));
+        check_int "handshake bins" 9 (Cover.hit (point "handshake"));
+        let cdc_samples expected =
+          List.iter
+            (fun (p, bin) ->
+              check_int (p ^ " samples") expected (sum_bins (point p));
+              check_int (p ^ " " ^ bin) expected
+                (List.assoc bin (Cover.bins (point p))))
+            [ ("cdc_ratio", "3:1"); ("cdc_depth", "2");
+              ("ratio_x_depth", "3:1*2") ]
+        in
+        cdc_samples 1;
+        let first = Cover.bins (point "handshake") in
+        check_bool "second run replays" true (run ());
+        cdc_samples 2;
+        (* the ACLK hook survives the reset once, not zero or two times *)
+        Alcotest.(check (list (pair string int)))
+          "replay doubles every handshake count"
+          (List.map (fun (b, n) -> (b, 2 * n)) first)
+          (Cover.bins (point "handshake")));
   ]
 
 (* ------------------- fuzz integration + -j identity ---------------- *)
@@ -327,6 +404,7 @@ let tests =
     ("cover.bins", basics_tests);
     ("cover.serialization", serialization_tests);
     ("cover.bus_groups", bus_group_tests);
+    ("cover.axi", axi_tests);
     ("cover.fuzz", fuzz_tests);
     ("cover.guided", guided_tests);
   ]
