@@ -82,6 +82,208 @@ let violation_tests =
           [ [ (fun s -> Signal.set_bool s.Sis_if.rst true); io_enable true ] ]);
   ]
 
+(* -------- every monitor message, pinned: check name, cycle, text -------- *)
+
+let rst v (s : Sis_if.t) = Signal.set_bool s.Sis_if.rst v
+
+(* play [trace] on a bare kernel carrying [attach]'s monitors and return
+   the first failure as "check @cycle: message" *)
+let first_failure attach trace =
+  let kernel = Kernel.create () in
+  let sis = fresh_sis () in
+  let drive = attach kernel sis in
+  match
+    List.iter
+      (fun settings ->
+        List.iter (fun f -> f drive) settings;
+        Kernel.cycle kernel)
+      trace
+  with
+  | () -> "no failure"
+  | exception Kernel.Check_failed { check; cycle; message } ->
+      Signal.clear_pending ();
+      Printf.sprintf "%s @%d: %s" check cycle message
+
+let sis_protocol kernel sis =
+  Sis_monitor.attach kernel sis ~func_ids:[ 1; 2 ];
+  sis
+
+let bus_protocol bus kernel sis =
+  Bus_monitor.attach kernel ~bus sis;
+  sis
+
+(* a strictly synchronous bus a user registered: it has no dedicated rule
+   table, so it gets the generic one, flavoured by its capabilities *)
+let user_sync_bus kernel sis =
+  let module Sync = struct
+    include Apb
+
+    let caps = { Apb.caps with Bus_caps.name = "user-sync" }
+  end in
+  Registry.register (module Sync);
+  Fun.protect
+    ~finally:(fun () -> Registry.unregister "user-sync")
+    (fun () -> Bus_monitor.attach kernel ~bus:"user-sync" sis);
+  sis
+
+(* the AXI native channels of a bridge instance registered on a bare
+   kernel (no master, no slave): the trace drives the channels itself *)
+let axi_channels kernel sis =
+  let aclk = Kernel.add_domain kernel ~name:"axi.aclk" ~period:1 () in
+  let fifo () =
+    Async_fifo.create kernel ~wr_dom:aclk ~rd_dom:aclk ~depth:2 ~width:8
+  in
+  let nat = Axi.Native.create ~width:32 in
+  Axi.register_instance kernel
+    {
+      Axi.nat;
+      aclk;
+      pclk = aclk;
+      i_ratio = (1, 1);
+      i_depth = 2;
+      i_wcmd = fifo ();
+      i_rcmd = fifo ();
+    };
+  Bus_monitor.attach kernel ~bus:"axi" sis;
+  nat
+
+let on f v (n : Axi.Native.t) = Signal.set_bool (f n) v
+
+let nat f v (n : Axi.Native.t) = Signal.set_int (f n) v
+
+let message_tests =
+  let w = [ io_enable true; div true; fid 1; data 5 ] in
+  let cases =
+    [
+      (* sis-protocol (§4.2) *)
+      ( "sis: strobe in reset", sis_protocol, [ [ rst true; io_enable true ] ],
+        "sis-protocol @0: IO_ENABLE asserted during reset" );
+      ( "sis: strobe over a write", sis_protocol, [ w; [] ],
+        "sis-protocol @1: new IO_ENABLE while a write word is outstanding" );
+      ( "sis: strobe over a read", sis_protocol,
+        [ [ io_enable true; fid 1 ]; [] ],
+        "sis-protocol @1: new IO_ENABLE while a read is outstanding" );
+      ( "sis: DATA_IN_VALID dropped", sis_protocol,
+        [ w; [ io_enable false; div false ] ],
+        "sis-protocol @1: DATA_IN_VALID dropped before IO_DONE on a write" );
+      ( "sis: DATA_IN changed", sis_protocol, [ w; [ io_enable false; data 6 ] ],
+        "sis-protocol @1: DATA_IN changed before IO_DONE on a write (§4.2.1)"
+      );
+      ( "sis: FUNC_ID changed on a write", sis_protocol,
+        [ w; [ io_enable false; fid 2 ] ],
+        "sis-protocol @1: FUNC_ID changed before IO_DONE on a write (§4.2.1)"
+      );
+      ( "sis: FUNC_ID changed on a read", sis_protocol,
+        [ [ io_enable true; fid 1 ]; [ io_enable false; fid 2 ] ],
+        "sis-protocol @1: FUNC_ID changed while a read is outstanding (§4.2.1)"
+      );
+      ( "sis: DATA_OUT_VALID without IO_DONE", sis_protocol, [ []; [ dov true ] ],
+        "sis-protocol @1: DATA_OUT_VALID asserted without IO_DONE (Fig 4.3)" );
+      ( "sis: write to FUNC_ID 0", sis_protocol,
+        [ [ io_enable true; div true; io_done true ] ],
+        "sis-protocol @0: write presented to FUNC_ID 0 (status register is \
+         read-only)" );
+      (* per-bus rule tables *)
+      ( "opb: back-to-back select", bus_protocol "opb",
+        [ [ io_enable true; fid 1; dov true; io_done true ];
+          [ dov false; io_done false ] ],
+        "opb-protocol @1: OPB_Select held across back-to-back accesses (the \
+         OPB has no bursts)" );
+      ( "fcb: Done with no opcode", bus_protocol "fcb", [ [ io_done true ] ],
+        "fcb-protocol @0: FCB_Done asserted with no decoded opcode in flight" );
+      ( "fcb: RdData with no load", bus_protocol "fcb",
+        [ [ dov true; io_done true ] ],
+        "fcb-protocol @0: FCB_RdData valid with no decoded load opcode in \
+         flight" );
+      ( "ahb: HADDR changed", bus_protocol "ahb",
+        [ [ io_enable true; fid 1 ]; [ io_enable false; fid 2 ] ],
+        "ahb-protocol @1: HADDR changed during a wait-stated AHB beat" );
+      ( "avalon: writedata changed", bus_protocol "avalon",
+        [ w; [ io_enable false; data 6 ] ],
+        "avalon-protocol @1: av_writedata changed while av_waitrequest is \
+         asserted" );
+      ( "wishbone: DAT_O with no cycle", bus_protocol "wishbone",
+        [ [ dov true; io_done true ] ],
+        "wishbone-protocol @0: DAT_O valid with CYC_I/STB_I negated (no cycle \
+         in progress)" );
+      ( "axi: PRDATA with no access", bus_protocol "axi",
+        [ [ dov true; io_done true ] ],
+        "axi-protocol @0: bridge PRDATA strobed with no APB access in flight" );
+      ( "axi: PENABLE held", bus_protocol "axi",
+        [ [ io_enable true; fid 1; dov true; io_done true ]; [] ],
+        "axi-protocol @1: bridge PENABLE held beyond the single enable phase \
+         (setup->enable phasing)" );
+      ( "axi: write wait state", bus_protocol "axi", [ w ],
+        "axi-protocol @0: bridge inserted a wait state on a write (the APB \
+         side of the CDC bridge is strictly synchronous)" );
+      ( "apb: write wait state", bus_protocol "apb", [ w ],
+        "apb-protocol @0: APB slave inserted a wait state on a write (APB \
+         transfers cannot be paused)" );
+      ( "user bus: write wait state", user_sync_bus, [ w ],
+        "user-sync-protocol @0: wait state on a strictly synchronous write \
+         (§4.2.2)" );
+      ( "user bus: no stall rule when pseudo-asynchronous", bus_protocol "mystery",
+        [ w; [ io_enable false ] ], "no failure" );
+    ]
+  and axi_cases =
+    [
+      ( "axi: AWVALID dropped",
+        [ [ on (fun n -> n.Axi.Native.awvalid) true ];
+          [ on (fun n -> n.Axi.Native.awvalid) false ] ],
+        "axi-channels @1: AWVALID dropped before AWREADY (VALID must hold \
+         until the handshake)" );
+      ( "axi: W payload changed",
+        [ [ on (fun n -> n.Axi.Native.wvalid) true;
+            nat (fun n -> n.Axi.Native.wdata) 5 ];
+          [ nat (fun n -> n.Axi.Native.wdata) 6 ] ],
+        "axi-channels @1: W payload changed while VALID was waiting for READY"
+      );
+      ( "axi: ARVALID dropped after a stall",
+        [ [ on (fun n -> n.Axi.Native.arvalid) true ]; [];
+          [ on (fun n -> n.Axi.Native.arvalid) false ] ],
+        "axi-channels @2: ARVALID dropped before ARREADY (VALID must hold \
+         until the handshake)" );
+      ( "axi: B outnumbers writes",
+        [ [ on (fun n -> n.Axi.Native.bvalid) true;
+            on (fun n -> n.Axi.Native.bready) true ] ],
+        "axi-channels @0: B handshake with no outstanding write (responses \
+         outnumber accepted AW/W transfers)" );
+      ( "axi: R outnumbers reads",
+        [ [ on (fun n -> n.Axi.Native.rvalid) true;
+            on (fun n -> n.Axi.Native.rready) true ] ],
+        "axi-channels @0: R handshake with no outstanding read (responses \
+         outnumber accepted AR transfers)" );
+      ( "axi: BRESP not OKAY",
+        [ [ on (fun n -> n.Axi.Native.bvalid) true;
+            nat (fun n -> n.Axi.Native.bresp) 2 ] ],
+        "axi-channels @0: BRESP is not OKAY" );
+      ( "axi: RRESP not OKAY",
+        [ [ on (fun n -> n.Axi.Native.rvalid) true;
+            nat (fun n -> n.Axi.Native.rresp) 3 ] ],
+        "axi-channels @0: RRESP is not OKAY" );
+      ( "axi: a handshake after a stall is clean",
+        [ [ on (fun n -> n.Axi.Native.awvalid) true;
+            nat (fun n -> n.Axi.Native.awaddr) 4 ];
+          [ on (fun n -> n.Axi.Native.awready) true ];
+          [ on (fun n -> n.Axi.Native.awvalid) false;
+            on (fun n -> n.Axi.Native.awready) false;
+            nat (fun n -> n.Axi.Native.awaddr) 8 ] ],
+        "no failure" );
+    ]
+  in
+  List.map
+    (fun (name, attach, trace, expected) ->
+      t name (fun () ->
+          Alcotest.(check string) "failure" expected (first_failure attach trace)))
+    cases
+  @ List.map
+      (fun (name, trace, expected) ->
+        t name (fun () ->
+            Alcotest.(check string)
+              "failure" expected
+              (first_failure axi_channels trace)))
+      axi_cases
+
 (* -------- clean runs: monitors must stay silent on correct traffic ------ *)
 
 let clean_tests =
@@ -395,6 +597,7 @@ let diff_tests =
 let tests =
   [
     ("check.monitor-violations", violation_tests);
+    ("check.monitor-messages", message_tests);
     ("check.monitor-clean", clean_tests);
     ("check.specgen", specgen_tests);
     ("check.diff", diff_tests);

@@ -388,6 +388,48 @@ let fuzz_tests =
         check_same_map seq par);
   ]
 
+(* The maps the CLI writes (`splice fuzz ... --cover F`, the map plus a
+   newline), pinned by sha256 so a change to any sampler, bin or count
+   shows: the seed-42 sweep of CI's coverage gate and CI's AXI 3:1,
+   depth-4 cell. *)
+let map_sha256 config =
+  let report = Diff.run config in
+  check_bool "no failure" true (report.Diff.r_failure = None);
+  Sha256.hex (Cover.to_string (Option.get report.Diff.r_cover) ^ "\n")
+
+let pinned_map_tests =
+  let all = Result.get_ok (Diff.scheds_of_string "all") in
+  [
+    t "seed-42 sweep map (--count 25 --sched all) is pinned" (fun () ->
+        check_string "sha256"
+          "f70e7b931a0e21bf007c0c89b7544e2b6078b91c1ce4fe1b32b309994d5d4dde"
+          (map_sha256
+             {
+               Diff.default_config with
+               seed = 42;
+               count = 25;
+               scheds = all;
+               cover = true;
+               guide = true;
+             }));
+    t "axi 3:1 depth-4 cell map (--count 10 --sched all) is pinned"
+      (fun () ->
+        check_string "sha256"
+          "112d643bb18b493e4da9b9978d59dc2d491979962a496efcfb5360219b43b30b"
+          (map_sha256
+             {
+               Diff.default_config with
+               seed = 42;
+               count = 10;
+               buses = [ "axi" ];
+               scheds = all;
+               cover = true;
+               guide = true;
+               ratio = Some (3, 1);
+               depth = Some 4;
+             }));
+  ]
+
 let guided_tests =
   [
     t "guided fuzzing is strictly ahead of random at an equal budget"
@@ -406,5 +448,6 @@ let tests =
     ("cover.bus_groups", bus_group_tests);
     ("cover.axi", axi_tests);
     ("cover.fuzz", fuzz_tests);
+    ("cover.pinned", pinned_map_tests);
     ("cover.guided", guided_tests);
   ]

@@ -289,6 +289,34 @@ let sis_tests =
             "sim/comb_iters n=95 sum=18 min=0 max=1 [95,0,0,0,0,0,0,0,0,0]";
           ]
           (counters @ gauges @ histograms));
+    t "the sis track of a traced Splice PLB scenario-1 call is pinned"
+      (fun () ->
+        (* every span (name, start, duration) and word instant the SIS
+           tracer emits, in emission order *)
+        let obs = Obs.create ~tracing:true () in
+        let host = Interpolator.make_host ~obs Interpolator.Splice_plb_simple in
+        let _, cycles = Interpolator.run host (Interp_scenarios.by_id 1) in
+        check_int "Fig 9.2 cycles" 95 cycles;
+        let sis =
+          List.filter_map
+            (function
+              | Tracer.Complete { track = "sis"; name; ts; dur } ->
+                  Some (Printf.sprintf "%s @%d+%d" name ts dur)
+              | Tracer.Instant { track = "sis"; name; ts } ->
+                  Some (Printf.sprintf "%s @%d" name ts)
+              | _ -> None)
+            (Tracer.events (Obs.tracer obs))
+        in
+        Alcotest.(check (list string))
+          "sis track"
+          [
+            "write id=1 @7+0"; "word @7"; "write id=1 @14+0"; "word @14";
+            "write id=1 @21+0"; "word @21"; "write id=1 @28+0"; "word @28";
+            "write id=1 @35+0"; "word @35"; "write id=1 @42+0"; "word @42";
+            "write id=1 @49+0"; "word @49"; "write id=1 @56+0"; "word @56";
+            "read id=1 @65+28"; "word @93";
+          ]
+          sis);
     t "Obs.none hosts record nothing" (fun () ->
         let spec = spec_of "void f(int x);" in
         let host =
