@@ -163,6 +163,78 @@ let register_instance k inst =
 
 let instance_for k = List.assoc_opt (Kernel.id k) !(Domain.DLS.get instances_key)
 
+(* ---- channel tracker ------------------------------------------------
+   The one reading of the native VALID/READY handshakes, behind both the
+   [axi-channels] check and the [handshake] coverpoint. At each ACLK edge
+   a channel fires (VALID and READY) or stalls (VALID alone); across
+   edges the tracker keeps whether VALID was left waiting for READY, the
+   payload it waited with (A3.2.1 of the AMBA spec: both must hold until
+   the handshake) and the handshakes since reset. Like [Sis_phase], an
+   observer samples, reads, then advances. *)
+
+module Channel = struct
+  type t = {
+    name : string;  (* "AW", "W", "AR", "R" or "B" *)
+    valid : Signal.t;
+    ready : Signal.t;
+    payload : Signal.t;
+    mutable fire : bool;
+    mutable stall : bool;
+    mutable waiting : bool;  (* stalled at the previous edge *)
+    mutable held_raw : int;
+    mutable held_wide : Bits.t;
+    mutable fired : int;
+  }
+
+  let make name valid ready payload =
+    { name; valid; ready; payload; fire = false; stall = false;
+      waiting = false; held_raw = 0; held_wide = Bits.zero 1; fired = 0 }
+
+  let quiet c =
+    c.waiting <- false;
+    c.fired <- 0
+
+  let sample c =
+    let v = Signal.get_bool c.valid and r = Signal.get_bool c.ready in
+    c.fire <- v && r;
+    c.stall <- v && not r
+
+  let dropped c = c.waiting && not (c.fire || c.stall)
+  let wide c = Signal.width c.payload > 63
+
+  let payload_held c =
+    if wide c then Signal.holds c.payload c.held_wide
+    else Signal.get_raw c.payload = c.held_raw
+
+  let advance c =
+    if c.fire then c.fired <- c.fired + 1;
+    if c.stall && not c.waiting then begin
+      c.held_raw <- Signal.get_raw c.payload;
+      if wide c then c.held_wide <- Signal.get c.payload
+    end;
+    c.waiting <- c.stall
+end
+
+type channels = { aw : Channel.t; w : Channel.t; ar : Channel.t; r : Channel.t; b : Channel.t }
+
+let each f c = f c.aw; f c.w; f c.ar; f c.r; f c.b
+
+(* a tracker over [inst]'s channels, quiet again at each instance reset *)
+let channels kernel inst =
+  let n = inst.nat and mk = Channel.make in
+  let c =
+    { aw = mk "AW" n.Native.awvalid n.Native.awready n.Native.awaddr;
+      w = mk "W" n.Native.wvalid n.Native.wready n.Native.wdata;
+      ar = mk "AR" n.Native.arvalid n.Native.arready n.Native.araddr;
+      r = mk "R" n.Native.rvalid n.Native.rready n.Native.rdata;
+      b = mk "B" n.Native.bvalid n.Native.bready n.Native.bresp }
+  in
+  Kernel.at_reset kernel (fun () -> each Channel.quiet c);
+  c
+
+let sample_channels = each Channel.sample
+let advance_channels = each Channel.advance
+
 (* ---- master / slave / bridge FSMs ----------------------------------- *)
 
 type mstate = {

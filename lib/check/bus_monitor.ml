@@ -1,12 +1,13 @@
 open Splice_sim
 open Splice_sis
-open Splice_bits
 open Splice_buses
 
 (* What a bus's handshake axioms look like when watched through the SIS
    lines (the adapter mappings of Figs 4.5-4.8 are combinational, so every
    native-side rule has an exact SIS-side rendering). A [None] message
-   disables the rule for that bus. *)
+   disables the rule for that bus. [no_write_stall] is the one rule a bus
+   does not choose: it holds exactly on the strictly synchronous buses
+   (their [Bus_caps.pseudo_async] is false), and the table only words it. *)
 type rules = {
   check : string;  (* Kernel.add_check name, "<bus>-protocol" *)
   wr_ack_needs_req : string option;
@@ -15,108 +16,49 @@ type rules = {
   single_cycle_access : string option;
   stable_fid : string option;
   stable_data : string option;
-  no_write_stall : string option;  (* strictly synchronous buses only *)
-}
-
-type st = {
-  mutable in_write : bool;  (* a write word presented, IO_DONE still low *)
-  mutable in_read : bool;  (* a read requested, DATA_OUT_VALID still low *)
-  mutable prev_done : bool;
-  mutable prev_access : bool;
-  mutable held_fid : int;
-  mutable held_data : Bits.t option;
+  no_write_stall : string;
 }
 
 (* failures only: the hot path allocates no formatting closure *)
 let rule_fail ~cycle (r : rules) message =
   Kernel.check_fail ~cycle ~check:r.check message
 
-let run_rules kernel (r : rules) (sis : Sis_if.t) =
-  let st =
-    {
-      in_write = false;
-      in_read = false;
-      prev_done = false;
-      prev_access = false;
-      held_fid = 0;
-      held_data = None;
-    }
+let run_rules kernel (r : rules) ~strictly_sync (sis : Sis_if.t) =
+  let d = Sis_phase.create kernel sis in
+  let rule msg cond ~cycle =
+    match msg with Some m when cond -> rule_fail ~cycle r m | _ -> ()
   in
-  Kernel.at_reset kernel (fun () ->
-      st.in_write <- false;
-      st.in_read <- false;
-      st.prev_done <- false;
-      st.prev_access <- false;
-      st.held_fid <- 0;
-      st.held_data <- None);
   fun cycle ->
-    let io_en = Signal.get_bool sis.Sis_if.io_enable in
-    if Signal.get_bool sis.Sis_if.rst then begin
-      if io_en then rule_fail ~cycle r "request strobed during bus reset";
-      st.in_write <- false;
-      st.in_read <- false;
-      st.prev_done <- false;
-      st.prev_access <- false;
-      st.held_data <- None
+    Sis_phase.sample d;
+    if d.rst then begin
+      if d.io_enable then rule_fail ~cycle r "request strobed during bus reset"
     end
     else begin
-      let div = Signal.get_bool sis.Sis_if.data_in_valid in
-      let dov = Signal.get_bool sis.Sis_if.data_out_valid in
-      let done_ = Signal.get_bool sis.Sis_if.io_done in
-      let fid = Signal.get_int sis.Sis_if.func_id in
-      let new_write = io_en && div in
-      let new_read = io_en && not div in
+      let fid = d.func_id in
+      let new_write = d.phase = Write in
       if new_write && fid = 0 then
-        rule_fail ~cycle r "write presented to the read-only status register (FUNC_ID 0)";
+        rule_fail ~cycle r
+          "write presented to the read-only status register (FUNC_ID 0)";
       (* acknowledges may only answer a request (addrAck-before-dataAck) *)
-      let wr_ack = done_ && not dov and rd_ack = dov in
-      (match r.wr_ack_needs_req with
-      | Some msg when wr_ack && not (st.in_write || new_write) -> rule_fail ~cycle r msg
-      | _ -> ());
-      (match r.rd_ack_needs_req with
-      | Some msg when rd_ack && not (st.in_read || new_read) -> rule_fail ~cycle r msg
-      | _ -> ());
+      rule r.wr_ack_needs_req ~cycle
+        (Sis_phase.write_ack d && not (d.transfer = Writing || new_write));
+      rule r.rd_ack_needs_req ~cycle
+        (d.data_out_valid && not (d.transfer = Reading || d.phase = Read));
       (* single-cycle acknowledge / mandatory idle phase between accesses *)
-      (match r.single_cycle_ack with
-      | Some msg when done_ && st.prev_done -> rule_fail ~cycle r msg
-      | _ -> ());
-      (match r.single_cycle_access with
-      | Some msg when io_en && st.prev_access -> rule_fail ~cycle r msg
-      | _ -> ());
+      rule r.single_cycle_ack ~cycle (d.io_done && d.prev_done);
+      rule r.single_cycle_access ~cycle
+        (d.io_enable && (d.prev = Write || d.prev = Read));
       (* qualifier stability while a transfer is wait-stated *)
-      if st.in_write || st.in_read then begin
-        (match r.stable_fid with
-        | Some msg when fid <> st.held_fid -> rule_fail ~cycle r msg
-        | _ -> ());
-        match (r.stable_data, st.held_data) with
-        | Some msg, Some held
-          when st.in_write && not (Signal.holds sis.Sis_if.data_in held)
-          ->
-            rule_fail ~cycle r msg
-        | _ -> ()
+      if d.transfer <> Quiet then begin
+        rule r.stable_fid ~cycle (fid <> d.held_fid);
+        rule r.stable_data ~cycle
+          (d.transfer = Writing && not (Sis_phase.data_held d))
       end;
       (* strictly synchronous transfers cannot be paused by the slave *)
-      (match r.no_write_stall with
-      | Some msg when new_write && fid <> 0 && not done_ -> rule_fail ~cycle r msg
-      | _ -> ());
-      (* outstanding-transfer bookkeeping (mirrors Figs 4.5/4.6 tracking) *)
-      if new_write && not done_ then begin
-        st.in_write <- true;
-        st.held_fid <- fid;
-        st.held_data <- Some (Signal.get sis.Sis_if.data_in)
-      end;
-      if new_read && not dov then begin
-        st.in_read <- true;
-        st.held_fid <- fid
-      end;
-      if done_ && not dov then begin
-        st.in_write <- false;
-        st.held_data <- None
-      end;
-      if dov then st.in_read <- false;
-      st.prev_done <- done_;
-      st.prev_access <- io_en
-    end
+      if strictly_sync && new_write && fid <> 0 && not d.io_done then
+        rule_fail ~cycle r r.no_write_stall
+    end;
+    Sis_phase.advance d
 
 let no_rules name =
   {
@@ -127,7 +69,7 @@ let no_rules name =
     single_cycle_access = None;
     stable_fid = None;
     stable_data = None;
-    no_write_stall = None;
+    no_write_stall = "wait state on a strictly synchronous write (§4.2.2)";
   }
 
 let plb_rules =
@@ -170,7 +112,7 @@ let apb_rules =
     single_cycle_access =
       Some "PENABLE held beyond the single enable phase (setup->enable phasing)";
     no_write_stall =
-      Some "APB slave inserted a wait state on a write (APB transfers cannot be paused)";
+      "APB slave inserted a wait state on a write (APB transfers cannot be paused)";
   }
 
 let ahb_rules =
@@ -213,9 +155,8 @@ let axi_rules =
         "bridge PENABLE held beyond the single enable phase (setup->enable \
          phasing)";
     no_write_stall =
-      Some
-        "bridge inserted a wait state on a write (the APB side of the CDC \
-         bridge is strictly synchronous)";
+      "bridge inserted a wait state on a write (the APB side of the CDC \
+       bridge is strictly synchronous)";
   }
 
 let dedicated =
@@ -225,29 +166,20 @@ let dedicated =
     ("wishbone", wishbone_rules); ("axi", axi_rules);
   ]
 
-let supported = List.map fst dedicated
-
 (* User-registered buses without a dedicated monitor still get the axioms
-   every SIS adapter must satisfy, flavoured by the bus's capabilities. *)
-let generic_rules name (caps : Splice_syntax.Bus_caps.t option) =
-  let strictly_sync =
-    match caps with Some c -> not c.Splice_syntax.Bus_caps.pseudo_async | None -> false
-  in
+   every SIS adapter must satisfy. *)
+let generic_rules name =
   {
     (no_rules name) with
     wr_ack_needs_req = Some "write acknowledge with no write in flight";
     rd_ack_needs_req = Some "read data valid with no read in flight";
     stable_fid = Some "FUNC_ID changed while a transfer is outstanding (§4.2.1)";
-    no_write_stall =
-      (if strictly_sync then
-         Some "wait state on a strictly synchronous write (§4.2.2)"
-       else None);
   }
 
 let rules_for name =
   match List.assoc_opt name dedicated with
   | Some r -> r
-  | None -> generic_rules name (Registry.lookup_caps name)
+  | None -> generic_rules name
 
 (* Native-side AXI4-Lite channel axioms, checked at ACLK edges: once VALID
    is asserted it must hold, with stable payload, until the READY handshake
@@ -255,84 +187,58 @@ let rules_for name =
    requests they answer; AXI4-Lite slaves only ever answer OKAY here (no
    decode errors inside the bridge's own address window). *)
 
-type chan_st = {
-  mutable p_valid : bool;
-  mutable p_ready : bool;
-  mutable p_payload : Bits.t option;
-  mutable fired : int;
-}
-
 let axi_check = "axi-channels"
 let axi_fail ~cycle message = Kernel.check_fail ~cycle ~check:axi_check message
 
-(* one channel's VALID/READY/payload axioms at an ACLK edge; the payload
-   is captured only while VALID waits for READY, the one state in which
-   the next edge compares it *)
-let axi_step ~cycle name st valid ready payload =
-  let v = Signal.get_bool valid and rdy = Signal.get_bool ready in
-  if st.p_valid && not st.p_ready then begin
-    if not v then
-      axi_fail ~cycle
-        (Printf.sprintf
-           "%sVALID dropped before %sREADY (VALID must hold until the \
-            handshake)"
-           name name);
-    match st.p_payload with
-    | Some a when not (Signal.holds payload a) ->
-        axi_fail ~cycle
-          (Printf.sprintf "%s payload changed while VALID was waiting for READY"
-             name)
-    | _ -> ()
-  end;
-  if v && rdy then st.fired <- st.fired + 1;
-  st.p_valid <- v;
-  st.p_ready <- rdy;
-  st.p_payload <- (if v && not rdy then Some (Signal.get payload) else None)
+(* one channel's hold axioms: what VALID waited with must still be there *)
+let axi_hold ~cycle (c : Axi.Channel.t) =
+  if Axi.Channel.dropped c then
+    axi_fail ~cycle
+      (Printf.sprintf
+         "%sVALID dropped before %sREADY (VALID must hold until the \
+          handshake)"
+         c.name c.name);
+  if c.waiting && not (Axi.Channel.payload_held c) then
+    axi_fail ~cycle
+      (Printf.sprintf "%s payload changed while VALID was waiting for READY"
+         c.name)
 
 let attach_axi_native kernel =
   match Axi.instance_for kernel with
   | None -> ()
   | Some inst ->
       let nat = inst.Axi.nat in
-      let mk () = { p_valid = false; p_ready = false; p_payload = None; fired = 0 } in
-      let aw = mk () and w = mk () and ar = mk () in
-      let r_ = mk () and b = mk () in
-      let clear st =
-        st.p_valid <- false;
-        st.p_ready <- false;
-        st.p_payload <- None;
-        st.fired <- 0
-      in
-      Kernel.at_reset kernel (fun () -> List.iter clear [ aw; w; ar; r_; b ]);
+      let ch = Axi.channels kernel inst in
       Kernel.add_check_in kernel inst.Axi.aclk axi_check (fun cycle ->
-          axi_step ~cycle "AW" aw nat.Axi.Native.awvalid nat.Axi.Native.awready
-            nat.Axi.Native.awaddr;
-          axi_step ~cycle "W" w nat.Axi.Native.wvalid nat.Axi.Native.wready
-            nat.Axi.Native.wdata;
-          axi_step ~cycle "AR" ar nat.Axi.Native.arvalid nat.Axi.Native.arready
-            nat.Axi.Native.araddr;
-          axi_step ~cycle "R" r_ nat.Axi.Native.rvalid nat.Axi.Native.rready
-            nat.Axi.Native.rdata;
-          axi_step ~cycle "B" b nat.Axi.Native.bvalid nat.Axi.Native.bready
-            nat.Axi.Native.bresp;
-          if Signal.get_bool nat.Axi.Native.bvalid
-             && Signal.get_int nat.Axi.Native.bresp <> 0
+          Axi.sample_channels ch;
+          axi_hold ~cycle ch.aw;
+          axi_hold ~cycle ch.w;
+          axi_hold ~cycle ch.ar;
+          axi_hold ~cycle ch.r;
+          axi_hold ~cycle ch.b;
+          if (ch.b.fire || ch.b.stall) && Signal.get_int nat.Axi.Native.bresp <> 0
           then axi_fail ~cycle "BRESP is not OKAY";
-          if Signal.get_bool nat.Axi.Native.rvalid
-             && Signal.get_int nat.Axi.Native.rresp <> 0
+          if (ch.r.fire || ch.r.stall) && Signal.get_int nat.Axi.Native.rresp <> 0
           then axi_fail ~cycle "RRESP is not OKAY";
-          if b.fired > min aw.fired w.fired then
+          Axi.advance_channels ch;
+          if ch.b.fired > min ch.aw.fired ch.w.fired then
             axi_fail ~cycle "B handshake with no outstanding write (responses outnumber \
                   accepted AW/W transfers)";
-          if r_.fired > ar.fired then
+          if ch.r.fired > ch.ar.fired then
             axi_fail ~cycle "R handshake with no outstanding read (responses outnumber \
                   accepted AR transfers)")
 
 let attach kernel ~bus sis =
   let r = rules_for bus in
+  let strictly_sync =
+    match Registry.lookup_caps bus with
+    | Some c -> not c.Splice_syntax.Bus_caps.pseudo_async
+    | None -> false
+  in
+  let rules = run_rules kernel r ~strictly_sync sis in
   (* a CDC bus's SIS side lives in its peripheral clock domain: gate the
      protocol rules there so "previous cycle" means the previous PCLK edge *)
   (match Kernel.find_domain kernel (bus ^ ".pclk") with
-  | Some d -> Kernel.add_check_in kernel d r.check (run_rules kernel r sis)
-  | None -> Kernel.add_check kernel r.check (run_rules kernel r sis));
+  | Some d -> Kernel.add_check_in kernel d r.check rules
+  | None -> Kernel.add_check kernel r.check rules);
   if String.equal bus "axi" then attach_axi_native kernel

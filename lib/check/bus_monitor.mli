@@ -1,40 +1,29 @@
 (** Per-bus protocol assertion monitors (the native-bus counterpart of
     {!Splice_sis.Sis_monitor}).
 
-    Each supported bus gets a cycle-by-cycle checker registered through
+    Each bus gets a cycle-by-cycle checker registered through
     {!Splice_sim.Kernel.add_check} under the name ["<bus>-protocol"]. The
     checker watches the SIS lines through the bus's combinational adapter
-    mapping (the native mirrors of Figs 4.5–4.8) and raises
-    {!Splice_sim.Kernel.Check_failed} on a handshake-axiom violation, e.g.:
+    mapping (the native mirrors of Figs 4.5–4.8), reads them through a
+    {!Splice_sis.Sis_phase} decoder, and raises
+    {!Splice_sim.Kernel.Check_failed} on a handshake-axiom violation,
+    worded in the bus's own signal names. A rule table per bus, in this
+    module, is the one per-bus declaration of which axioms bind it — e.g.
+    PLB's addrAck-before-dataAck ordering, OPB's single-cycle
+    [Sln_XferAck] and no back-to-back selects, APB's setup→enable
+    phasing, qualifier stability across wait states on AHB, Avalon,
+    Wishbone and FCB. No-write-stall binds exactly the buses whose
+    {!Splice_syntax.Bus_caps.t} say strictly synchronous (APB, AXI).
+    Buses registered by users without a table get the generic axioms.
 
-    - {b PLB}: a data acknowledge ([PLB_RdAck]/[PLB_WrAck]) with no request
-      outstanding — the addrAck-before-dataAck ordering;
-    - {b OPB}: [Sln_XferAck] held for two consecutive cycles (the
-      single-cycle acknowledge rule), or back-to-back selects (no bursts);
-    - {b FCB}: [FCB_Done] with no decoded opcode in flight, or the register
-      field changing mid-opcode;
-    - {b APB}: an access held beyond the single enable phase (setup→enable
-      phasing), or a slave wait state on a write (APB transfers cannot be
-      paused);
-    - {b AHB}: [HADDR]/[HWDATA] changing during a wait-stated beat;
-    - {b Avalon}: address/writedata changing while [av_waitrequest] stalls
-      the master;
-    - {b Wishbone}: [ACK_O] with [CYC_I]/[STB_I] negated (no classic cycle
-      in progress);
-    - {b AXI}: the APB axioms on the bridge's SIS side (gated to the
-      peripheral clock domain), plus a second native-side check
-      ["axi-channels"] at ACLK edges — VALID held with stable payload until
-      READY on all five channels, responses never outnumbering accepted
-      requests, OKAY-only responses.
-
-    Buses registered by users without a dedicated monitor get a generic
-    checker derived from their {!Splice_syntax.Bus_caps.t}. *)
+    {b AXI} adds a native-side check ["axi-channels"] at ACLK edges over
+    an {!Splice_buses.Axi.Channel} tracker: VALID held with stable payload
+    until READY on all five channels, responses never outnumbering
+    accepted requests, OKAY-only responses. The SIS-side rules run in
+    the peripheral clock domain. *)
 
 open Splice_sim
 open Splice_sis
-
-val supported : string list
-(** Buses with a dedicated (non-generic) monitor. *)
 
 val attach : Kernel.t -> bus:string -> Sis_if.t -> unit
 (** Attach the monitor for [bus] (dedicated if {!supported}, generic

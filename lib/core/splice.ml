@@ -48,6 +48,7 @@ module Loc = Splice_syntax.Loc
 (* the SIS and its executable models (Chs 4-5) *)
 module Plan = Splice_sis.Plan
 module Sis_if = Splice_sis.Sis_if
+module Sis_phase = Splice_sis.Sis_phase
 module Sis_monitor = Splice_sis.Sis_monitor
 module Stub_model = Splice_sis.Stub_model
 module Arbiter_model = Splice_sis.Arbiter_model

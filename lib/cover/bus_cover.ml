@@ -5,54 +5,39 @@ open Splice_buses
 
 let group_name bus = "bus/" ^ bus
 
-(* Phase encoding shared by the [phase] aspect bins and the [phase_seq]
-   transition bins. The classification mirrors Bus_monitor's SIS-side
-   model: a presentation cycle is IO_ENABLE with DATA_IN_VALID selecting
-   write vs read; IO_DONE without DATA_OUT_VALID acknowledges a write;
-   DATA_OUT_VALID acknowledges a read; an outstanding transfer with no
-   strobe and no acknowledge is a wait state. *)
-let ph_idle = 0
-let ph_reset = 1
-let ph_write = 2
-let ph_read = 3
-let ph_wait_w = 4
-let ph_wait_r = 5
-let ph_ack_w = 6
-let ph_ack_r = 7
+(* The [phase] aspect bins and the [phase_seq] transition bins, one per
+   {!Sis_phase.phase}: the cycle classes every SIS observer reads off the
+   same decoder. *)
+let code : Sis_phase.phase -> int = function
+  | Idle -> 0 | Reset -> 1 | Write -> 2 | Read -> 3
+  | Wait_w -> 4 | Wait_r -> 5 | Ack_w -> 6 | Ack_r -> 7
 
+let bin_name : Sis_phase.phase -> string = function
+  | Idle -> "idle" | Reset -> "reset" | Write -> "write" | Read -> "read"
+  | Wait_w -> "wait_w" | Wait_r -> "wait_r" | Ack_w -> "ack_w" | Ack_r -> "ack_r"
+
+(* Strictly synchronous buses may not stall writes (Bus_monitor's
+   no_write_stall axiom), so their write-wait bins are not coverable and
+   are dropped rather than left as permanent holes. *)
 let phase_bins ~pseudo_async =
-  [ ("reset", ph_reset); ("idle", ph_idle); ("write", ph_write);
-    ("read", ph_read) ]
-  @ (if pseudo_async then [ ("wait_w", ph_wait_w) ] else [])
-  @ [ ("wait_r", ph_wait_r); ("ack_w", ph_ack_w); ("ack_r", ph_ack_r) ]
+  List.filter_map
+    (fun p ->
+      if pseudo_async || p <> Sis_phase.Wait_w then Some (bin_name p, code p)
+      else None)
+    [ Reset; Idle; Write; Read; Wait_w; Wait_r; Ack_w; Ack_r ]
 
-(* The canonical legal-next-phase pairs. Strictly synchronous buses may
-   not stall writes (Bus_monitor's no_write_stall axiom), so their
-   write-wait transitions are not coverable and are dropped rather than
-   left as permanent holes. *)
+(* the canonical legal-next-phase pairs *)
 let seq_pairs ~pseudo_async =
-  let all =
-    [ ("idle->write", ph_idle, ph_write); ("idle->read", ph_idle, ph_read);
-      ("write->write", ph_write, ph_write);
-      ("write->wait_w", ph_write, ph_wait_w);
-      ("write->ack_w", ph_write, ph_ack_w);
-      ("write->idle", ph_write, ph_idle);
-      ("wait_w->wait_w", ph_wait_w, ph_wait_w);
-      ("wait_w->ack_w", ph_wait_w, ph_ack_w);
-      ("read->read", ph_read, ph_read);
-      ("read->wait_r", ph_read, ph_wait_r);
-      ("read->ack_r", ph_read, ph_ack_r); ("read->idle", ph_read, ph_idle);
-      ("wait_r->wait_r", ph_wait_r, ph_wait_r);
-      ("wait_r->ack_r", ph_wait_r, ph_ack_r);
-      ("ack_w->write", ph_ack_w, ph_write);
-      ("ack_w->read", ph_ack_w, ph_read); ("ack_w->idle", ph_ack_w, ph_idle);
-      ("ack_r->read", ph_ack_r, ph_read);
-      ("ack_r->write", ph_ack_r, ph_write);
-      ("ack_r->idle", ph_ack_r, ph_idle) ]
-  in
-  if pseudo_async then all
-  else
-    List.filter (fun (_, f, t) -> f <> ph_wait_w && t <> ph_wait_w) all
+  List.filter_map
+    (fun (f, t) ->
+      if pseudo_async || (f <> Sis_phase.Wait_w && t <> Sis_phase.Wait_w) then
+        Some (bin_name f ^ "->" ^ bin_name t, code f, code t)
+      else None)
+    [ (Idle, Write); (Idle, Read); (Write, Write); (Write, Wait_w);
+      (Write, Ack_w); (Write, Idle); (Wait_w, Wait_w); (Wait_w, Ack_w);
+      (Read, Read); (Read, Wait_r); (Read, Ack_r); (Read, Idle);
+      (Wait_r, Wait_r); (Wait_r, Ack_r); (Ack_w, Write); (Ack_w, Read);
+      (Ack_w, Idle); (Ack_r, Read); (Ack_r, Write); (Ack_r, Idle) ]
 
 let grant_bins =
   [ ("status", 0); ("first", 1); ("repeat", 2); ("switch", 3) ]
@@ -144,17 +129,6 @@ let declare c ~bus =
 
 (* ---- cycle-level sampling ---------------------------------------- *)
 
-type st = {
-  mutable in_write : bool;
-  mutable in_read : bool;
-  mutable prev : int;  (* previous cycle's primary phase *)
-  mutable seen_prev : bool;
-  mutable last_fid : int;
-  mutable seen_grant : bool;
-  mutable wcnt : int;  (* wait cycles of the outstanding write word *)
-  mutable rcnt : int;
-}
-
 let find g n = Option.get (Cover.find_point g n)
 
 let sample_sis g ~bus kernel (sis : Sis_if.t) =
@@ -165,19 +139,7 @@ let sample_sis g ~bus kernel (sis : Sis_if.t) =
   let grant = find "grant" in
   let wait_r = find "wait_r" in
   let wait_w = if pa then Some (find "wait_w") else None in
-  let st =
-    { in_write = false; in_read = false; prev = ph_idle; seen_prev = false;
-      last_fid = 0; seen_grant = false; wcnt = 0; rcnt = 0 }
-  in
-  Kernel.at_reset kernel (fun () ->
-      st.in_write <- false;
-      st.in_read <- false;
-      st.prev <- ph_idle;
-      st.seen_prev <- false;
-      st.last_fid <- 0;
-      st.seen_grant <- false;
-      st.wcnt <- 0;
-      st.rcnt <- 0);
+  let d = Sis_phase.create kernel sis in
   (* a bus whose peripheral side lives in a named slow domain (the AXI
      bridge's "<bus>.pclk") only drives the SIS lines on that domain's
      edges; sampling the ticks in between would count each phase once per
@@ -189,94 +151,40 @@ let sample_sis g ~bus kernel (sis : Sis_if.t) =
     | None -> Kernel.base_domain kernel
   in
   Kernel.on_settle_in kernel dom (fun _cycle ->
-      let rst = Signal.get_bool sis.Sis_if.rst in
-      let io_en = Signal.get_bool sis.Sis_if.io_enable in
-      let div = Signal.get_bool sis.Sis_if.data_in_valid in
-      let dov = Signal.get_bool sis.Sis_if.data_out_valid in
-      let done_ = Signal.get_bool sis.Sis_if.io_done in
-      let fid = Signal.get_int sis.Sis_if.func_id in
-      let primary =
-        if rst then begin
-          Cover.sample phase ph_reset;
-          st.in_write <- false;
-          st.in_read <- false;
-          st.seen_grant <- false;
-          ph_reset
-        end
-        else begin
-          (* a presentation is the first strobed cycle of a word — the
-             engine holds IO_ENABLE across wait states, so strobes must
-             be edge-detected against the outstanding-transfer state or
-             every stall cycle would look like a fresh presentation *)
-          let new_write = io_en && div && not st.in_write in
-          let new_read = io_en && (not div) && not st.in_read in
-          let wr_ack = done_ && not dov in
-          let rd_ack = dov in
-          let waiting_w =
-            st.in_write && (not new_write) && (not wr_ack) && not rd_ack
-          in
-          let waiting_r =
-            st.in_read && (not new_read) && (not new_write) && not rd_ack
-          in
-          (* multi-hot aspects: a strictly synchronous write cycle is both
-             a presentation and its own acknowledge *)
-          if new_write then Cover.sample phase ph_write;
-          if new_read then Cover.sample phase ph_read;
-          if wr_ack then Cover.sample phase ph_ack_w;
-          if rd_ack then Cover.sample phase ph_ack_r;
-          if waiting_w then Cover.sample phase ph_wait_w;
-          if waiting_r then Cover.sample phase ph_wait_r;
-          (* grant patterns: who wins the strobe at each presentation
-             (not per held-strobe cycle — a stalled word is one grant) *)
-          if new_write || new_read then begin
-            if fid = 0 then Cover.sample grant 0
-            else begin
-              if not st.seen_grant then Cover.sample grant 1
-              else if fid = st.last_fid then Cover.sample grant 2
-              else Cover.sample grant 3;
-              st.seen_grant <- true;
-              st.last_fid <- fid
-            end
-          end;
-          (* per-word wait-state counts — cycles the acknowledge was
-             withheld, 0 = acknowledged in the presentation cycle —
-             sampled at the acknowledge *)
-          if new_write then st.wcnt <- (if wr_ack then 0 else 1);
-          if new_read then st.rcnt <- (if rd_ack then 0 else 1);
-          if st.in_write && (not new_write) && not wr_ack then
-            st.wcnt <- st.wcnt + 1;
-          if st.in_read && (not new_read) && not rd_ack then
-            st.rcnt <- st.rcnt + 1;
-          if wr_ack && (st.in_write || new_write) then begin
-            (match wait_w with
-            | Some p -> Cover.sample p st.wcnt
-            | None -> ());
-            st.wcnt <- 0
-          end;
-          if rd_ack && (st.in_read || new_read) then begin
-            Cover.sample wait_r st.rcnt;
-            st.rcnt <- 0
-          end;
-          (* outstanding-transfer bookkeeping (same as Bus_monitor's) *)
-          if new_write && not done_ then st.in_write <- true;
-          if new_read && not dov then st.in_read <- true;
-          if wr_ack then st.in_write <- false;
-          if dov then st.in_read <- false;
-          if new_write then ph_write
-          else if new_read then ph_read
-          else if wr_ack then ph_ack_w
-          else if rd_ack then ph_ack_r
-          else if waiting_w then ph_wait_w
-          else if waiting_r then ph_wait_r
-          else begin
-            Cover.sample phase ph_idle;
-            ph_idle
-          end
-        end
-      in
-      if st.seen_prev then Cover.sample_pair seq ~from_:st.prev ~to_:primary;
-      st.prev <- primary;
-      st.seen_prev <- true)
+      Sis_phase.sample d;
+      (* the cycle's phase, with acknowledges counted as aspects of their
+         own: a strictly synchronous write cycle is both a presentation
+         and its acknowledge *)
+      (match d.phase with
+      | Ack_w | Ack_r -> ()
+      | p -> Cover.sample phase (code p));
+      if not d.rst then begin
+        let wr_ack = Sis_phase.write_ack d and rd_ack = d.data_out_valid in
+        if wr_ack then Cover.sample phase (code Ack_w);
+        if rd_ack then Cover.sample phase (code Ack_r);
+        (* grant patterns: who wins the strobe at each presentation,
+           against the previous presentation since reset *)
+        if d.io_enable then begin
+          let fid = d.func_id in
+          Cover.sample grant
+            (if fid = 0 then 0
+             else if d.held_fid < 0 then 1
+             else if fid = d.held_fid then 2
+             else 3)
+        end;
+        (* per-word wait-state counts — cycles the acknowledge was
+           withheld, 0 = acknowledged in the presentation cycle —
+           sampled at the acknowledge *)
+        (match wait_w with
+        | Some p when wr_ack && (d.phase = Write || d.transfer = Writing) ->
+            Cover.sample p (Sis_phase.waited d)
+        | _ -> ());
+        if rd_ack && (d.phase = Read || d.transfer = Reading) then
+          Cover.sample wait_r (Sis_phase.waited d)
+      end;
+      (* no pair leaves [Reset], the first cycle's [prev] *)
+      Cover.sample_pair seq ~from_:(code d.prev) ~to_:(code d.phase);
+      Sis_phase.advance d)
 
 (* ---- transaction-level sampling (bus port observer) --------------- *)
 
@@ -321,23 +229,21 @@ let sample_axi g kernel =
       in
       sample_cdc ();
       Kernel.at_reset kernel sample_cdc;
-      let nat = i.Axi.nat and wcmd = i.Axi.i_wcmd and rcmd = i.Axi.i_rcmd in
-      let on = Signal.get_bool in
-      let fire v r = on v && on r in
+      let ch = Axi.channels kernel i in
+      let full = Async_fifo.full in
       Kernel.on_settle_in kernel i.Axi.aclk (fun _ ->
-          let open Axi.Native in
+          Axi.sample_channels ch;
           (* codes are the [axi_handshake_bins] values *)
-          if fire nat.awvalid nat.awready then Cover.sample handshake 0;
-          if fire nat.wvalid nat.wready then Cover.sample handshake 1;
-          if fire nat.arvalid nat.arready then Cover.sample handshake 2;
-          if fire nat.rvalid nat.rready then Cover.sample handshake 3;
-          if fire nat.bvalid nat.bready then Cover.sample handshake 4;
-          if on nat.awvalid && not (on nat.awready) then
-            Cover.sample handshake 5;
-          if on nat.arvalid && not (on nat.arready) then
-            Cover.sample handshake 6;
-          if on (Async_fifo.full wcmd) then Cover.sample handshake 7;
-          if on (Async_fifo.full rcmd) then Cover.sample handshake 8)
+          if ch.aw.fire then Cover.sample handshake 0;
+          if ch.w.fire then Cover.sample handshake 1;
+          if ch.ar.fire then Cover.sample handshake 2;
+          if ch.r.fire then Cover.sample handshake 3;
+          if ch.b.fire then Cover.sample handshake 4;
+          if ch.aw.stall then Cover.sample handshake 5;
+          if ch.ar.stall then Cover.sample handshake 6;
+          if Signal.get_bool (full i.Axi.i_wcmd) then Cover.sample handshake 7;
+          if Signal.get_bool (full i.Axi.i_rcmd) then Cover.sample handshake 8;
+          Axi.advance_channels ch)
 
 let attach c ~bus kernel sis port =
   declare c ~bus;

@@ -1,9 +1,10 @@
 (** Auto-derived protocol coverage groups for the registered buses.
 
-    Mirrors [Bus_monitor]'s SIS-side phase model: the same
-    (presentation, wait, acknowledge) classification the protocol rules
-    check is what the coverpoints count, so a covered bin is a scenario
-    the monitors actually vetted. Bin sets are derived from the bus's
+    The protocol points are rules over a {!Splice_sis.Sis_phase} decoder,
+    the one the protocol checks read too: the (presentation, wait,
+    acknowledge) classes they check are what the coverpoints count, so a
+    covered bin is a scenario the monitors actually vetted. Bin sets are
+    derived from the bus's
     registered [Bus_caps.t] — burst-length log ranges from
     [max_burst_words]/[dma_max_bytes], DMA direction bins only where
     [supports_dma], write-side wait bins only where [pseudo_async]
@@ -14,22 +15,24 @@
     SIS lines and bus port after elaboration.
 
     One group per bus, named ["bus/<name>"], with points:
-    - [phase]: multi-hot aspect bins — reset, write, read, ack_w, ack_r,
-      wait_r, idle (+ wait_w when pseudo-asynchronous), sampled once per
-      active aspect per settled cycle;
-    - [phase_seq]: transition bins over the cycle's {e primary} phase
+    - [phase]: aspect bins — reset, write, read, ack_w, ack_r, wait_r,
+      idle (+ wait_w when pseudo-asynchronous); a presentation and its
+      acknowledge in one cycle count both, a wait or idle cycle counts
+      its {!Splice_sis.Sis_phase.phase};
+    - [phase_seq]: transition bins over {!Splice_sis.Sis_phase.phase}
       (priority reset > write > read > ack_w > ack_r > waits > idle);
     - [grant]: arbiter grant patterns on IO_ENABLE — status-register
-      grants, first data grant, repeat to the same FUNC_ID, switch to a
-      new one;
+      grants, first data grant since reset, repeat of the previous
+      presentation's FUNC_ID, switch to a new one;
     - [wait_r] (+ [wait_w]): per-word wait-state count ranges;
     - [burst], [dir], [dir_x_burst]: transaction-level points sampled by
       an observer on the bus port ([Bus_port.on_transaction]).
 
     The AXI4-Lite bridge is the one builtin whose native channels live in
     their own clock domain; its group has three extra points —
-    [handshake] (per-channel VALID/READY fires, stalls and command-FIFO
-    backpressure, sampled on ACLK edges), [cdc_ratio] / [cdc_depth]
+    [handshake] (per-channel VALID/READY fires and stalls off an
+    {!Splice_buses.Axi.Channel} tracker, and command-FIFO backpressure,
+    sampled on ACLK edges), [cdc_ratio] / [cdc_depth]
     (which cell of the clock-ratio x FIFO-depth design grid the run
     exercised) and their [ratio_x_depth] cross. *)
 

@@ -1,24 +1,12 @@
 open Splice_sim
-open Splice_bits
 open Splice_obs
 
 type st = {
-  (* outstanding-request state: at most one request is outstanding
-     (§4.2.1), so one slot each, -1 when empty *)
-  mutable write_fid : int;
-  mutable write_raw : int; (* DATA_IN as [Signal.get_raw] *)
-  mutable write_wide : Bits.t; (* DATA_IN of a 64-bit interface *)
-  mutable read_fid : int;
-  (* counts not yet published. The check stages each cycle's sample and
-     counts it only once the cycle is known to have completed (the check
-     runs on a later tick, or the run returned past it), so a check
-     registered later that fails the same cycle leaves it uncounted *)
-  mutable staged_tick : int; (* -1 when nothing is staged *)
-  mutable staged_rst : bool;
-  mutable staged_io_en : bool;
-  mutable staged_div : bool;
-  mutable staged_done : bool;
-  mutable staged_fid : int;
+  (* counts not yet published. The check counts a cycle only once it is
+     known to have completed (the check runs on a later tick, or the run
+     returned past it), so a check registered later that fails the same
+     cycle leaves it uncounted *)
+  mutable staged_tick : int; (* the cycle whose lines [d] holds, or -1 *)
   mutable words : int; (* IO_DONE-high cycles: SIS words and arbiter grants *)
   mutable writes : int;
   mutable reads : int;
@@ -38,36 +26,32 @@ let observe_wait st w =
   st.waits.(st.n_waits) <- w;
   st.n_waits <- st.n_waits + 1
 
-(* Count the staged sample if its cycle completed before tick [completed]:
-   the SIS word counts and the arbiter's grant bookkeeping (a grant is an
-   IO_DONE-high cycle for the selected function; the wait runs from the
-   request strobe to the first grant). A sample of a cycle that did not
-   complete is dropped: that cycle runs again under the same tick. *)
-let retire st ~completed =
-  let tick = st.staged_tick in
-  if tick >= 0 && tick < completed then
-    if st.staged_rst then st.wait_id <- -1
-    else begin
-      let io_en = st.staged_io_en and fid = st.staged_fid in
-      if st.staged_done then begin
-        st.words <- st.words + 1;
-        if fid < Array.length st.grants_by_id then
-          st.grants_by_id.(fid) <- st.grants_by_id.(fid) + 1;
-        if st.wait_id = fid then begin
-          observe_wait st (tick - st.wait_start);
-          st.wait_id <- -1
-        end
-        else if io_en then observe_wait st 0
+(* The SIS word counts and the arbiter's grant bookkeeping of a completed
+   cycle, from its lines (a grant is an IO_DONE-high cycle for the
+   selected function; the wait runs from the request strobe to the first
+   grant). *)
+let count st (d : Sis_phase.t) tick =
+  if d.rst then st.wait_id <- -1
+  else begin
+    let io_en = d.io_enable and fid = d.func_id in
+    if d.io_done then begin
+      st.words <- st.words + 1;
+      if fid < Array.length st.grants_by_id then
+        st.grants_by_id.(fid) <- st.grants_by_id.(fid) + 1;
+      if st.wait_id = fid then begin
+        observe_wait st (tick - st.wait_start);
+        st.wait_id <- -1
       end
-      else if io_en && st.wait_id < 0 then begin
-        st.wait_id <- fid;
-        st.wait_start <- tick
-      end;
-      if io_en then
-        if st.staged_div then st.writes <- st.writes + 1
-        else st.reads <- st.reads + 1
+      else if io_en then observe_wait st 0
+    end
+    else if io_en && st.wait_id < 0 then begin
+      st.wait_id <- fid;
+      st.wait_start <- tick
     end;
-  st.staged_tick <- -1
+    if io_en then
+      if d.data_in_valid then st.writes <- st.writes + 1
+      else st.reads <- st.reads + 1
+  end
 
 let attach kernel (sis : Sis_if.t) ~func_ids =
   let obs = Kernel.obs kernel in
@@ -75,16 +59,7 @@ let attach kernel (sis : Sis_if.t) ~func_ids =
   let ids = List.sort_uniq compare func_ids in
   let st =
     {
-      write_fid = -1;
-      write_raw = 0;
-      write_wide = Bits.zero 1;
-      read_fid = -1;
       staged_tick = -1;
-      staged_rst = false;
-      staged_io_en = false;
-      staged_div = false;
-      staged_done = false;
-      staged_fid = 0;
       words = 0;
       writes = 0;
       reads = 0;
@@ -102,9 +77,22 @@ let attach kernel (sis : Sis_if.t) ~func_ids =
     Array.fill st.grants_by_id 0 (Array.length st.grants_by_id) 0;
     st.n_waits <- 0
   in
+  let d = Sis_phase.create kernel sis in
+  (* The checked cycle's lines stay in [d] until the next check or a
+     publish retires them: a cycle that completed is counted and [d]
+     advances past it; one that did not is dropped, and runs again under
+     the same tick. *)
+  let retire ~completed =
+    let tick = st.staged_tick in
+    if tick >= 0 then begin
+      if tick < completed then begin
+        if counting then count st d tick;
+        Sis_phase.advance d
+      end;
+      st.staged_tick <- -1
+    end
+  in
   Kernel.at_reset kernel (fun () ->
-      st.write_fid <- -1;
-      st.read_fid <- -1;
       st.staged_tick <- -1;
       st.wait_id <- -1;
       clear_counts ());
@@ -124,7 +112,7 @@ let attach kernel (sis : Sis_if.t) ~func_ids =
         "arbiter/wait_cycles"
     in
     Kernel.on_publish kernel (fun () ->
-        retire st ~completed:(Kernel.cycles kernel);
+        retire ~completed:(Kernel.cycles kernel);
         Metrics.add c_words st.words;
         Metrics.add c_writes st.writes;
         Metrics.add c_reads st.reads;
@@ -135,115 +123,68 @@ let attach kernel (sis : Sis_if.t) ~func_ids =
         done;
         clear_counts ())
   end;
-  let wide = Signal.width sis.data_in > 63 in
-  let fail cycle fmt =
-    Format.kasprintf
-      (fun message ->
-        Kernel.check_fail ~cycle ~check:"sis-protocol" message)
-      fmt
+  let fail cycle message =
+    Kernel.check_fail ~cycle ~check:"sis-protocol" message
   in
   Kernel.add_check kernel "sis-protocol" (fun cycle ->
-      let rst = Signal.get_bool sis.rst in
-      let io_en = Signal.get_bool sis.io_enable in
-      let div = Signal.get_bool sis.data_in_valid in
-      let dov = Signal.get_bool sis.data_out_valid in
-      let done_ = Signal.get_bool sis.io_done in
-      let fid = Signal.get_int sis.func_id in
-      if rst then begin
-        if io_en then fail cycle "IO_ENABLE asserted during reset";
-        st.write_fid <- -1;
-        st.read_fid <- -1
+      retire ~completed:cycle;
+      Sis_phase.sample d;
+      let io_en = d.io_enable and fid = d.func_id in
+      if d.rst then begin
+        if io_en then fail cycle "IO_ENABLE asserted during reset"
       end
       else begin
-        (* outstanding-write stability *)
-        if st.write_fid >= 0 then begin
-          if io_en then
-            fail cycle "new IO_ENABLE while a write word is outstanding";
-          if not div then
-            fail cycle "DATA_IN_VALID dropped before IO_DONE on a write";
-          if
-            not
-              (if wide then Signal.holds sis.data_in st.write_wide
-               else Signal.get_raw sis.data_in = st.write_raw)
-          then fail cycle "DATA_IN changed before IO_DONE on a write (§4.2.1)";
-          if fid <> st.write_fid then
-            fail cycle "FUNC_ID changed before IO_DONE on a write (§4.2.1)"
-        end;
-        (* outstanding-read stability *)
-        if st.read_fid >= 0 then begin
-          if io_en then
-            fail cycle "new IO_ENABLE while a read is outstanding";
-          if fid <> st.read_fid then
-            fail cycle "FUNC_ID changed while a read is outstanding (§4.2.1)"
-        end;
-        if dov && not done_ then
+        (match d.transfer with
+        | Writing ->
+            if io_en then
+              fail cycle "new IO_ENABLE while a write word is outstanding";
+            if not d.data_in_valid then
+              fail cycle "DATA_IN_VALID dropped before IO_DONE on a write";
+            if not (Sis_phase.data_held d) then
+              fail cycle "DATA_IN changed before IO_DONE on a write (§4.2.1)";
+            if fid <> d.held_fid then
+              fail cycle "FUNC_ID changed before IO_DONE on a write (§4.2.1)"
+        | Reading ->
+            if io_en then fail cycle "new IO_ENABLE while a read is outstanding";
+            if fid <> d.held_fid then
+              fail cycle "FUNC_ID changed while a read is outstanding (§4.2.1)"
+        | Quiet -> ());
+        if d.data_out_valid && not d.io_done then
           fail cycle "DATA_OUT_VALID asserted without IO_DONE (Fig 4.3)";
-        (* new request bookkeeping *)
-        if io_en && div && fid = 0 then
-          fail cycle "write presented to FUNC_ID 0 (status register is read-only)";
-        if io_en && not done_ then
-          if div then begin
-            st.write_fid <- fid;
-            st.write_raw <- Signal.get_raw sis.data_in;
-            if wide then st.write_wide <- Signal.get sis.data_in
-          end
-          else st.read_fid <- fid;
-        if done_ then begin
-          st.write_fid <- -1;
-          (* a read completes only when data comes back *)
-          if dov then st.read_fid <- -1
-        end
+        if d.phase = Write && fid = 0 then
+          fail cycle "write presented to FUNC_ID 0 (status register is read-only)"
       end;
-      if counting then begin
-        retire st ~completed:cycle;
-        st.staged_tick <- cycle;
-        st.staged_rst <- rst;
-        st.staged_io_en <- io_en;
-        st.staged_div <- div;
-        st.staged_done <- done_;
-        st.staged_fid <- fid
-      end)
+      st.staged_tick <- cycle)
 
 let attach_tracer kernel (sis : Sis_if.t) =
   let obs = Kernel.obs kernel in
   if Obs.tracing obs then begin
     let tracer = Obs.tracer obs in
-    (* at most one SIS request is outstanding (§4.2.1), so a single slot *)
-    let pending = ref None in
-    Kernel.at_reset kernel (fun () -> pending := None);
+    let d = Sis_phase.create kernel sis in
+    (* the outstanding transfer's span, dropped unended by an instance
+       reset (a design-cache replay starts a new run) *)
+    let span = ref None in
+    let end_span cycle =
+      if d.transfer <> Quiet then
+        Option.iter (fun s -> Tracer.end_span s ~ts:cycle) !span;
+      span := None
+    in
     Kernel.on_settle kernel (fun cycle ->
-        if Signal.get_bool sis.rst then begin
-          match !pending with
-          | Some (span, _) ->
-              Tracer.end_span span ~ts:cycle;
-              pending := None
-          | None -> ()
-        end
-        else begin
-          let io_en = Signal.get_bool sis.io_enable in
-          let div = Signal.get_bool sis.data_in_valid in
-          let dov = Signal.get_bool sis.data_out_valid in
-          let done_ = Signal.get_bool sis.io_done in
-          let fid = Signal.get_int sis.func_id in
-          if done_ then Tracer.instant tracer ~track:"sis" ~ts:cycle "word";
-          (match !pending with
-          | Some (span, `Write) when done_ ->
-              Tracer.end_span span ~ts:cycle;
-              pending := None
-          | Some (span, `Read) when dov ->
-              Tracer.end_span span ~ts:cycle;
-              pending := None
-          | _ -> ());
-          if io_en && !pending = None then begin
-            let kind, completed = if div then ("write", done_) else ("read", dov) in
-            let name = Printf.sprintf "%s id=%d" kind fid in
-            if completed then
-              Tracer.complete tracer ~track:"sis" ~ts:cycle ~dur:0 name
-            else
-              pending :=
-                Some
-                  ( Tracer.begin_span tracer ~track:"sis" ~ts:cycle name,
-                    if div then `Write else `Read )
-          end
+        Sis_phase.sample d;
+        if d.io_done && not d.rst then
+          Tracer.instant tracer ~track:"sis" ~ts:cycle "word";
+        if d.rst || Sis_phase.ends d then end_span cycle;
+        let presented = d.phase = Write || d.phase = Read in
+        Sis_phase.advance d;
+        if presented then begin
+          let name =
+            Printf.sprintf "%s id=%d"
+              (if d.data_in_valid then "write" else "read")
+              d.func_id
+          in
+          (* a presentation its own cycle acknowledges is not outstanding *)
+          if d.transfer = Quiet then
+            Tracer.complete tracer ~track:"sis" ~ts:cycle ~dur:0 name
+          else span := Some (Tracer.begin_span tracer ~track:"sis" ~ts:cycle name)
         end)
   end

@@ -1,17 +1,19 @@
-(** Runtime checker for the SIS communication axioms of §4.2.
+(** The two observers of the SIS layer itself: the [sis-protocol] check
+    of §4.2 with its counters, and the SIS tracer. Both read the lines
+    through a {!Sis_phase} decoder of their own, the one the per-bus
+    protocol rules ([Bus_monitor]) and the coverage sampler ([Bus_cover])
+    read too.
 
-    Attach to a kernel to have every simulated cycle validated against the
-    protocol; violations raise [Kernel.Check_failed]. Checks:
+    The [sis-protocol] check raises [Kernel.Check_failed] on:
 
-    - [RST] quiesces the interface: no [IO_ENABLE] while in reset;
-    - a presented write carries a non-zero [FUNC_ID] (id 0 is the read-only
-      status register, §4.2.2);
-    - [DATA_IN], [FUNC_ID] remain static while a write word awaits [IO_DONE];
-    - [FUNC_ID] remains static while a read is outstanding;
-    - [DATA_OUT_VALID] is only asserted together with [IO_DONE] (read
-      responses, Fig 4.3);
-    - [IO_ENABLE] pulses are single-cycle per request (a second cycle must be
-      a new request, i.e. the previous one completed). *)
+    - [IO_ENABLE] during [RST];
+    - a presented write with [FUNC_ID] 0 (the read-only status register,
+      §4.2.2);
+    - while a write is outstanding: a new [IO_ENABLE], or [DATA_IN_VALID],
+      [DATA_IN] or [FUNC_ID] not held;
+    - while a read is outstanding: a new [IO_ENABLE], or [FUNC_ID] not
+      held;
+    - [DATA_OUT_VALID] without [IO_DONE] (read responses, Fig 4.3). *)
 
 open Splice_sim
 
@@ -36,5 +38,5 @@ val attach_tracer : Kernel.t -> Sis_if.t -> unit
 (** Tracing companion to {!attach}: when the kernel's [Obs.t] traces, an
     [on_settle] hook records one [word] instant per completed word and
     one [write id=N] / [read id=N] span per SIS word transfer on track
-    [sis] (presentation → IO_DONE, request → DATA_OUT_VALID). Installs
-    nothing otherwise. *)
+    [sis] (presentation → the acknowledge that ends its outstanding
+    transfer). Installs nothing otherwise. *)

@@ -325,8 +325,65 @@ let monitor_tests =
         done);
   ]
 
+(* the decoder on hand-driven lines: each step sets the lines, samples,
+   records what an observer reads, then advances *)
+let phase_tests =
+  let show = function
+    | Sis_phase.Idle -> "idle" | Reset -> "reset" | Write -> "write"
+    | Read -> "read" | Wait_w -> "wait_w" | Wait_r -> "wait_r"
+    | Ack_w -> "ack_w" | Ack_r -> "ack_r"
+  in
+  let run steps =
+    let sis = Sis_if.create ~bus_width:32 ~func_id_width:4 ~instances:2 () in
+    let d = Sis_phase.create (Kernel.create ()) sis in
+    List.map
+      (fun (rst, en, div, dov, done_, fid) ->
+        Signal.set_bool sis.Sis_if.rst rst;
+        Signal.set_bool sis.Sis_if.io_enable en;
+        Signal.set_bool sis.Sis_if.data_in_valid div;
+        Signal.set_bool sis.Sis_if.data_out_valid dov;
+        Signal.set_bool sis.Sis_if.io_done done_;
+        Signal.set_int sis.Sis_if.func_id fid;
+        Sis_phase.sample d;
+        let r =
+          match d.Sis_phase.phase with
+          | Wait_w | Wait_r -> Printf.sprintf "%s %d" (show d.phase) (Sis_phase.waited d)
+          | p when Sis_phase.ends d ->
+              Printf.sprintf "%s ends %d" (show p) (Sis_phase.waited d)
+          | p -> show p
+        in
+        Sis_phase.advance d;
+        r)
+      steps
+  in
+  let o = false and x = true in
+  [
+    t "decoder: strobes, waits, acknowledges and reset" (fun () ->
+        Alcotest.(check (list string))
+          "cycle classes"
+          [
+            (* a write acknowledged in its own cycle leaves nothing
+               outstanding *)
+            "write"; "idle";
+            (* a write stalled two cycles *)
+            "write"; "wait_w 1"; "ack_w ends 2";
+            (* a read whose data comes back two cycles later *)
+            "read"; "wait_r 1"; "ack_r ends 2";
+            (* reset drops an outstanding read *)
+            "read"; "reset"; "idle";
+          ]
+          (run
+             [
+               (o, x, x, o, x, 1); (o, o, x, o, o, 1);
+               (o, x, x, o, o, 1); (o, o, x, o, o, 1); (o, o, x, o, x, 1);
+               (o, x, o, o, o, 2); (o, o, o, o, o, 2); (o, o, o, x, x, 2);
+               (o, x, o, o, o, 2); (x, o, o, o, o, 2); (o, o, o, o, o, 2);
+             ]));
+  ]
+
 let tests =
   [
+    ("sis.phase", phase_tests);
     ("sis.stub", stub_tests);
     ("sis.arbiter", arbiter_tests);
     ("sis.monitor", monitor_tests);
