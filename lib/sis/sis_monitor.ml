@@ -26,32 +26,38 @@ let observe_wait st w =
   st.waits.(st.n_waits) <- w;
   st.n_waits <- st.n_waits + 1
 
-(* The SIS word counts and the arbiter's grant bookkeeping of a completed
-   cycle, from its lines (a grant is an IO_DONE-high cycle for the
-   selected function; the wait runs from the request strobe to the first
-   grant). *)
-let count st (d : Sis_phase.t) tick =
-  if d.rst then st.wait_id <- -1
-  else begin
-    let io_en = d.io_enable and fid = d.func_id in
-    if d.io_done then begin
-      st.words <- st.words + 1;
-      if fid < Array.length st.grants_by_id then
-        st.grants_by_id.(fid) <- st.grants_by_id.(fid) + 1;
-      if st.wait_id = fid then begin
-        observe_wait st (tick - st.wait_start);
-        st.wait_id <- -1
+(* Count the cycle whose lines the decoder holds if it completed before
+   tick [completed]: the SIS word counts and the arbiter's grant
+   bookkeeping (a grant is an IO_DONE-high cycle for the selected
+   function; the wait runs from the request strobe to the first grant).
+   The lines stay in the decoder until the next check samples over them;
+   a cycle that did not complete is dropped: it runs again under the same
+   tick. *)
+let retire st (d : Sis_phase.t) ~completed =
+  let tick = st.staged_tick in
+  if tick >= 0 && tick < completed then
+    if d.rst then st.wait_id <- -1
+    else begin
+      let io_en = d.io_enable and fid = d.func_id in
+      if d.io_done then begin
+        st.words <- st.words + 1;
+        if fid < Array.length st.grants_by_id then
+          st.grants_by_id.(fid) <- st.grants_by_id.(fid) + 1;
+        if st.wait_id = fid then begin
+          observe_wait st (tick - st.wait_start);
+          st.wait_id <- -1
+        end
+        else if io_en then observe_wait st 0
       end
-      else if io_en then observe_wait st 0
-    end
-    else if io_en && st.wait_id < 0 then begin
-      st.wait_id <- fid;
-      st.wait_start <- tick
+      else if io_en && st.wait_id < 0 then begin
+        st.wait_id <- fid;
+        st.wait_start <- tick
+      end;
+      if io_en then
+        if d.data_in_valid then st.writes <- st.writes + 1
+        else st.reads <- st.reads + 1
     end;
-    if io_en then
-      if d.data_in_valid then st.writes <- st.writes + 1
-      else st.reads <- st.reads + 1
-  end
+  st.staged_tick <- -1
 
 let attach kernel (sis : Sis_if.t) ~func_ids =
   let obs = Kernel.obs kernel in
@@ -78,20 +84,6 @@ let attach kernel (sis : Sis_if.t) ~func_ids =
     st.n_waits <- 0
   in
   let d = Sis_phase.create kernel sis in
-  (* The checked cycle's lines stay in [d] until the next check or a
-     publish retires them: a cycle that completed is counted and [d]
-     advances past it; one that did not is dropped, and runs again under
-     the same tick. *)
-  let retire ~completed =
-    let tick = st.staged_tick in
-    if tick >= 0 then begin
-      if tick < completed then begin
-        if counting then count st d tick;
-        Sis_phase.advance d
-      end;
-      st.staged_tick <- -1
-    end
-  in
   Kernel.at_reset kernel (fun () ->
       st.staged_tick <- -1;
       st.wait_id <- -1;
@@ -112,7 +104,7 @@ let attach kernel (sis : Sis_if.t) ~func_ids =
         "arbiter/wait_cycles"
     in
     Kernel.on_publish kernel (fun () ->
-        retire ~completed:(Kernel.cycles kernel);
+        retire st d ~completed:(Kernel.cycles kernel);
         Metrics.add c_words st.words;
         Metrics.add c_writes st.writes;
         Metrics.add c_reads st.reads;
@@ -127,7 +119,7 @@ let attach kernel (sis : Sis_if.t) ~func_ids =
     Kernel.check_fail ~cycle ~check:"sis-protocol" message
   in
   Kernel.add_check kernel "sis-protocol" (fun cycle ->
-      retire ~completed:cycle;
+      if counting then retire st d ~completed:cycle;
       Sis_phase.sample d;
       let io_en = d.io_enable and fid = d.func_id in
       if d.rst then begin
@@ -154,7 +146,8 @@ let attach kernel (sis : Sis_if.t) ~func_ids =
         if d.phase = Write && fid = 0 then
           fail cycle "write presented to FUNC_ID 0 (status register is read-only)"
       end;
-      st.staged_tick <- cycle)
+      Sis_phase.advance d;
+      if counting then st.staged_tick <- cycle)
 
 let attach_tracer kernel (sis : Sis_if.t) =
   let obs = Kernel.obs kernel in

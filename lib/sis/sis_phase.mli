@@ -12,8 +12,9 @@
 
     Each observer owns a decoder and, once per sampled cycle, calls
     {!sample} (read the six lines), reads the cycle's lines and the state
-    the cycle found, then calls {!advance}. An observer that raises in
-    between (a failed check) leaves the state as it was. Nothing
+    the cycle found, then calls {!advance} before the cycle ends ([advance]
+    takes a presented write word from the live DATA_IN). An observer that
+    raises in between (a failed check) leaves the state as it was. Nothing
     allocates per cycle. *)
 
 open Splice_sim

@@ -88,8 +88,8 @@ let rst v (s : Sis_if.t) = Signal.set_bool s.Sis_if.rst v
 
 (* play [trace] on a bare kernel carrying [attach]'s monitors and return
    the first failure as "check @cycle: message" *)
-let first_failure attach trace =
-  let kernel = Kernel.create () in
+let first_failure ?obs attach trace =
+  let kernel = Kernel.create ?obs () in
   let sis = fresh_sis () in
   let drive = attach kernel sis in
   match
@@ -276,6 +276,38 @@ let message_tests =
       t name (fun () ->
           Alcotest.(check string) "failure" expected (first_failure attach trace)))
     cases
+  @ [
+      (* an unobserved kernel publishes no counts; the check must see the
+         changed word all the same *)
+      t "sis: DATA_IN changed on an unobserved kernel" (fun () ->
+          Alcotest.(check string)
+            "failure"
+            "sis-protocol @1: DATA_IN changed before IO_DONE on a write \
+             (§4.2.1)"
+            (first_failure ~obs:Obs.none sis_protocol
+               [ w; [ io_enable false; data 6 ] ]));
+      t "sis: DATA_IN changed inside one run" (fun () ->
+          (* the lines change on a clock edge, not between runs *)
+          let kernel = Kernel.create () in
+          let sis = fresh_sis () in
+          ignore (sis_protocol kernel sis);
+          Kernel.add kernel
+            (Component.make "driver" ~seq:(fun () ->
+                 if Kernel.cycles kernel = 0 then begin
+                   Signal.set_next_bool sis.Sis_if.io_enable false;
+                   Signal.set_next sis.Sis_if.data_in (Bits.of_int ~width:32 6)
+                 end));
+          List.iter (fun f -> f sis) w;
+          Alcotest.(check string)
+            "failure"
+            "sis-protocol @1: DATA_IN changed before IO_DONE on a write \
+             (§4.2.1)"
+            (match Kernel.run kernel 3 with
+            | () -> "no failure"
+            | exception Kernel.Check_failed { check; cycle; message } ->
+                Signal.clear_pending ();
+                Printf.sprintf "%s @%d: %s" check cycle message));
+    ]
   @ List.map
       (fun (name, trace, expected) ->
         t name (fun () ->

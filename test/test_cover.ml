@@ -389,21 +389,22 @@ let fuzz_tests =
   ]
 
 (* The maps the CLI writes (`splice fuzz ... --cover F`, the map plus a
-   newline), pinned by sha256 so a change to any sampler, bin or count
-   shows: the seed-42 sweep of CI's coverage gate and CI's AXI 3:1,
-   depth-4 cell. *)
-let map_sha256 config =
+   newline), pinned by MD5 (what `md5sum F` prints) so a change to any
+   sampler, bin or count shows: the seed-42 sweep of CI's coverage gate
+   (sha256 f70e7b93…4dde) and CI's AXI 3:1, depth-4 cell (sha256
+   112d643b…b30b). *)
+let map_md5 config =
   let report = Diff.run config in
   check_bool "no failure" true (report.Diff.r_failure = None);
-  Sha256.hex (Cover.to_string (Option.get report.Diff.r_cover) ^ "\n")
+  Digest.to_hex
+    (Digest.string (Cover.to_string (Option.get report.Diff.r_cover) ^ "\n"))
 
 let pinned_map_tests =
   let all = Result.get_ok (Diff.scheds_of_string "all") in
   [
     t "seed-42 sweep map (--count 25 --sched all) is pinned" (fun () ->
-        check_string "sha256"
-          "f70e7b931a0e21bf007c0c89b7544e2b6078b91c1ce4fe1b32b309994d5d4dde"
-          (map_sha256
+        check_string "md5" "f44a6344f32c7390817d9a26a7e19e9a"
+          (map_md5
              {
                Diff.default_config with
                seed = 42;
@@ -414,9 +415,8 @@ let pinned_map_tests =
              }));
     t "axi 3:1 depth-4 cell map (--count 10 --sched all) is pinned"
       (fun () ->
-        check_string "sha256"
-          "112d643bb18b493e4da9b9978d59dc2d491979962a496efcfb5360219b43b30b"
-          (map_sha256
+        check_string "md5" "73b68603b4a746bb6373e30b46f366b2"
+          (map_md5
              {
                Diff.default_config with
                seed = 42;
